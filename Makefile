@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-index bench-delta bench-hotpath bench-mqo bench-mqo2 bench-recovery chaos-recovery repro verify examples fuzz fuzz-wal clean
+.PHONY: all build vet test race bench bench-micro bench-index bench-delta chaos-recovery record repro verify examples fuzz fuzz-wal clean
 
 all: build vet test
 
@@ -18,49 +18,22 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full benchmark suite (writes nothing; see bench-record).
+# End-to-end serving benchmark: every workload of BENCHMARK.json against
+# a freshly built seraph-server (see bench/README.md).
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash bench/run.sh
 
-# Indexed-vs-scan MATCH ablation (bench_index_test.go). The seraph-bench
-# twin is `go run ./cmd/seraph-bench -exp B13` (see BENCH_pr3.json).
+# Go micro-benchmarks of the root package and internal packages.
+bench-micro:
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
+
+# Indexed-vs-scan MATCH ablation (bench_index_test.go).
 bench-index:
 	$(GO) test -run '^$$' -bench 'SelectivePredicate|TypedExpansion|EngineSelectivity' -benchmem .
 
-# Delta-driven vs full evaluation ablation (bench_delta_test.go). The
-# seraph-bench twin is `go run ./cmd/seraph-bench -exp B14` (see
-# BENCH_pr5.json).
+# Delta-driven vs full evaluation ablation (bench_delta_test.go).
 bench-delta:
 	$(GO) test -run '^$$' -bench 'BagDifference|EngineDeltaEval' -benchmem .
-
-# Columnar hot-path smoke: the B14 delta-ratio sweep at reduced size,
-# aborting on any full/delta row divergence and whenever the 1%-churn
-# delta allocs/instant regress more than 2x relative to the committed
-# snapshot (BENCH_pr7.json).
-bench-hotpath:
-	$(GO) run ./cmd/seraph-bench -exp B14 -quick -alloc-guard BENCH_pr7.json
-
-# Multi-query optimization smoke: the B16 shared-vs-unshared comparison
-# at reduced size, aborting on any per-query result-bag divergence
-# between the unshared, shared, and shared+delta engines. The committed
-# full-size run is BENCH_pr8.json.
-bench-mqo:
-	$(GO) run ./cmd/seraph-bench -exp B16 -quick
-
-# Sharing-hierarchy smoke: B18 overlaps query families across window
-# widths, subpattern parents, and a late registrant, aborting on any
-# per-(query, instant) result-bag divergence between the unshared,
-# equality-shared, and hierarchical engines. The committed full-size
-# run is BENCH_pr10.json.
-bench-mqo2:
-	$(GO) run ./cmd/seraph-bench -exp B18 -quick
-
-# Crash-recovery smoke: B17 builds durable directories under three
-# checkpoint cadences and times a cold restart of each, aborting if the
-# recovered run skips or double-replays any log record. The committed
-# full-size run is BENCH_pr9.json.
-bench-recovery:
-	$(GO) run ./cmd/seraph-bench -exp B17 -quick
 
 # Crash-recovery chaos matrix: seeded kill points against the durable
 # WAL + checkpoint stack (see internal/chaos/recovery.go).
@@ -79,10 +52,6 @@ repro:
 # Assert the paper reproduction (CI).
 verify:
 	$(GO) run ./cmd/seraph-repro -verify
-
-# Parameter-sweep experiment harness (several minutes).
-experiments:
-	$(GO) run ./cmd/seraph-bench
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -1,14 +1,16 @@
 package seraph
 
-// Delta-driven evaluation benchmarks (PR 5): per-instant evaluation
-// cost under controlled window churn, full re-evaluation vs the
-// maintained delta path (engine.WithDeltaEval), plus the BagDifference
-// allocation fix the classic diff operators ride on. `make bench-delta`
-// runs this file alone; the seraph-bench twin is
-// `go run ./cmd/seraph-bench -exp B14` (see BENCH_pr5.json).
+// Delta-driven evaluation benchmarks: per-instant evaluation cost under
+// controlled window churn, full re-evaluation vs the maintained delta
+// path (engine.WithDeltaEval), plus the BagDifference allocation fix
+// the classic diff operators ride on. `make bench-delta` runs the
+// benchmarks in this file; TestDeltaChurnSweep is the churn-sweep
+// correctness and allocation gate that runs under `go test`.
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -102,6 +104,111 @@ func churnStream(rounds, perBatch, extra int, slide time.Duration) []stream.Elem
 	return elems
 }
 
+// churnQuery is the ON ENTERING query over a churnStream: its window
+// spans `rounds` slides and its first instant is the last filling batch.
+func churnQuery(elems []stream.Element, rounds int, slide time.Duration) string {
+	return fmt.Sprintf(`
+REGISTER QUERY churn STARTING AT %s
+{
+  MATCH (u:User)-[r:SESS]->(d:Svc)
+  WITHIN %s
+  WHERE r.v > 0
+  EMIT u.uid AS uid, d.did AS did
+  ON ENTERING EVERY %s
+}`, elems[rounds-1].Time.Format("2006-01-02T15:04:05"),
+		value.FormatDuration(time.Duration(rounds)*slide), value.FormatDuration(slide))
+}
+
+// maxDeltaAllocRatio bounds delta/full mallocs per instant at 1 % churn:
+// 2 × the 0.107 the 10 k-edge sweep measured when the bound was set.
+const maxDeltaAllocRatio = 0.214
+
+// TestDeltaChurnSweep holds delta-driven evaluation to full evaluation
+// across window churn ratios from 0.1 % to 50 % on a 2 000-edge window:
+// identical result bags at every instant, every instant answered by the
+// delta path (maintained or bypassed, never a fallback), and at 1 %
+// churn a bounded fraction of full evaluation's allocations. The
+// allocation ratio is scale-invariant, so the bound carries over from
+// the 10 k-edge measurement.
+func TestDeltaChurnSweep(t *testing.T) {
+	const windowEdges, measure = 2000, 8
+	slide := 5 * time.Second
+	for _, ratio := range []float64{0.001, 0.01, 0.1, 0.3, 0.5} {
+		t.Run(fmt.Sprintf("churn=%g", ratio), func(t *testing.T) {
+			rounds := int(math.Round(1 / ratio))
+			elems := churnStream(rounds, max(windowEdges/rounds, 1), measure, slide)
+			src := churnQuery(elems, rounds, slide)
+			var cols [2]engine.Collector
+			var mallocs [2]uint64
+			for i, opts := range [][]engine.Option{
+				{engine.WithIncrementalSnapshots(true)},
+				{engine.WithDeltaEval(true)},
+			} {
+				e := engine.New(opts...)
+				q, err := e.RegisterSource(src, cols[i].Sink())
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Fill the window and absorb the first (full-window Δ⁺)
+				// instant before measuring.
+				for _, el := range elems[:rounds] {
+					if err := e.Push(el.Graph, el.Time); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := e.AdvanceTo(elems[rounds-1].Time); err != nil {
+					t.Fatal(err)
+				}
+				var m0, m1 runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&m0)
+				for _, el := range elems[rounds:] {
+					if err := e.Push(el.Graph, el.Time); err != nil {
+						t.Fatal(err)
+					}
+					if err := e.AdvanceTo(el.Time); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&m1)
+				mallocs[i] = m1.Mallocs - m0.Mallocs
+				if i == 1 {
+					st := q.Stats()
+					if st.DeltaFallbacks != 0 || st.DeltaApplied+st.DeltaBypasses != st.Evaluations {
+						t.Fatalf("delta path: %d applied + %d bypassed of %d evaluations, %d fallbacks",
+							st.DeltaApplied, st.DeltaBypasses, st.Evaluations, st.DeltaFallbacks)
+					}
+				}
+			}
+			full, delta := cols[0].Results, cols[1].Results
+			if len(full) != len(delta) || len(full) != measure+1 {
+				t.Fatalf("%d full results vs %d delta results, want %d", len(full), len(delta), measure+1)
+			}
+			for j := range full {
+				if !full[j].At.Equal(delta[j].At) {
+					t.Fatalf("result %d: instants %s vs %s", j, full[j].At, delta[j].At)
+				}
+				diff, err := eval.BagDifference(full[j].Table, delta[j].Table)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full[j].Table.Len() != delta[j].Table.Len() || diff.Len() != 0 {
+					t.Fatalf("at %s: full %d rows, delta %d rows, %d full rows missing from delta",
+						full[j].At, full[j].Table.Len(), delta[j].Table.Len(), diff.Len())
+				}
+			}
+			if ratio == 0.01 {
+				rel := float64(mallocs[1]) / float64(mallocs[0])
+				t.Logf("1%% churn: delta/full mallocs per instant %.3f (bound %.3f)", rel, maxDeltaAllocRatio)
+				if rel > maxDeltaAllocRatio {
+					t.Fatalf("delta/full mallocs per instant %.3f > %.3f (%d vs %d over %d instants)",
+						rel, maxDeltaAllocRatio, mallocs[1], mallocs[0], measure)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEngineDeltaEval: one evaluation instant at a 1% delta ratio
 // on a 5000-edge window, full re-evaluation vs the delta path. The
 // measured loop replays the churn batches due after the window is
@@ -118,17 +225,7 @@ func BenchmarkEngineDeltaEval(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			elems := churnStream(rounds, perBatch, b.N+1, slide)
-			width := time.Duration(rounds) * slide
-			startAt := elems[rounds-1].Time
-			src := fmt.Sprintf(`
-REGISTER QUERY churn STARTING AT %s
-{
-  MATCH (u:User)-[r:SESS]->(d:Svc)
-  WITHIN %s
-  WHERE r.v > 0
-  EMIT u.uid AS uid, d.did AS did
-  ON ENTERING EVERY %s
-}`, startAt.Format("2006-01-02T15:04:05"), value.FormatDuration(width), value.FormatDuration(slide))
+			src := churnQuery(elems, rounds, slide)
 			e := engine.New(mode.opts...)
 			if _, err := e.RegisterSource(src, nil); err != nil {
 				b.Fatal(err)

@@ -124,8 +124,7 @@ func BenchmarkTypedExpansion(b *testing.B) {
 
 // BenchmarkEngineSelectivity: the same ablation end-to-end through the
 // continuous engine (window maintenance + snapshot build + MATCH), via
-// engine.WithScanMatcher. This is the go test twin of the seraph-bench
-// B13 selectivity sweep.
+// engine.WithScanMatcher (experiment B13 in DESIGN.md).
 func BenchmarkEngineSelectivity(b *testing.B) {
 	elems := userStream(8, 500, 100)
 	src := fmt.Sprintf(`

@@ -2,9 +2,9 @@ package seraph
 
 // Benchmarks mirroring the experiment suite of DESIGN.md (B1–B9) as
 // testing.B micro-benchmarks, plus a benchmark of the paper's running
-// example itself. The cmd/seraph-bench harness prints the same
-// experiments as parameter-sweep tables; these benchmarks provide
-// ns/op and allocation profiles via `go test -bench=. -benchmem`.
+// example itself. They provide ns/op and allocation profiles via
+// `go test -bench=. -benchmem`; the end-to-end serving benchmark is
+// bench/run.sh.
 
 import (
 	"fmt"

@@ -156,7 +156,7 @@ func WithSnapshotCache(on bool) Option {
 // matcher, disabling property indexes, predicate pushdown, typed
 // adjacency, and selectivity-based ordering. Result bags are identical
 // either way; the option exists as the ablation baseline for the
-// index-layer benchmarks (seraph-bench -scan).
+// index-layer benchmarks (BenchmarkEngineSelectivity).
 func WithScanMatcher(on bool) Option {
 	return func(e *Engine) { e.scanMatcher = on }
 }

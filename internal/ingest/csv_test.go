@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// figure1CSV is the Figure 1 stream in the rental CSV format.
-const figure1CSV = `ts,vehicle,electric,station,user,kind,at,duration,extra_label
+// Figure1CSV is the Figure 1 stream in the rental CSV format (exported
+// for the external-package test in running_example_test.go).
+const Figure1CSV = `ts,vehicle,electric,station,user,kind,at,duration,extra_label
 2022-10-14T14:45:00,5,true,1,1234,rentedAt,2022-10-14T14:40:00,,EBike
 2022-10-14T15:00:00,5,true,2,1234,returnedAt,2022-10-14T14:55:00,15,EBike
 2022-10-14T15:00:00,6,false,2,1234,rentedAt,2022-10-14T14:57:00,,
@@ -19,7 +20,7 @@ const figure1CSV = `ts,vehicle,electric,station,user,kind,at,duration,extra_labe
 `
 
 func TestReadCSVFigure1(t *testing.T) {
-	elems, err := ReadCSV(strings.NewReader(figure1CSV), RentalCSVMapping())
+	elems, err := ReadCSV(strings.NewReader(Figure1CSV), RentalCSVMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestReadCSVErrors(t *testing.T) {
 		{"bad node id", "ts,vehicle,electric,station,user,kind,at,duration,extra_label\n2022-10-14T14:45:00,xyz,true,1,1,rentedAt,2022-10-14T14:40:00,,\n"},
 		{"empty required", "ts,vehicle,electric,station,user,kind,at,duration,extra_label\n2022-10-14T14:45:00,1,true,1,,rentedAt,2022-10-14T14:40:00,,\n"},
 		{"empty type", "ts,vehicle,electric,station,user,kind,at,duration,extra_label\n2022-10-14T14:45:00,1,true,1,1,,2022-10-14T14:40:00,,\n"},
-		{"out of order", figure1CSV + "2022-10-14T15:00:00,9,false,1,1,rentedAt,2022-10-14T14:40:00,,\n"},
+		{"out of order", Figure1CSV + "2022-10-14T15:00:00,9,false,1,1,rentedAt,2022-10-14T14:40:00,,\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c.csv), m); err == nil {
@@ -75,7 +76,7 @@ func TestReadCSVErrors(t *testing.T) {
 }
 
 func TestReadCSVGroupsEqualTimestamps(t *testing.T) {
-	elems, err := ReadCSV(strings.NewReader(figure1CSV), RentalCSVMapping())
+	elems, err := ReadCSV(strings.NewReader(Figure1CSV), RentalCSVMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,11 @@ func TestReadCSVGroupsEqualTimestamps(t *testing.T) {
 }
 
 func TestCSVDeterministicRelIDs(t *testing.T) {
-	a, err := ReadCSV(strings.NewReader(figure1CSV), RentalCSVMapping())
+	a, err := ReadCSV(strings.NewReader(Figure1CSV), RentalCSVMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReadCSV(strings.NewReader(figure1CSV), RentalCSVMapping())
+	b, err := ReadCSV(strings.NewReader(Figure1CSV), RentalCSVMapping())
 	if err != nil {
 		t.Fatal(err)
 	}
