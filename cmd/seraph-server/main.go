@@ -44,7 +44,7 @@ func main() {
 	addr := flag.String("addr", ":7687", "listen address")
 	restore := flag.String("restore", "", "resume from a checkpoint file (see GET /checkpoint)")
 	parallelism := flag.Int("parallelism", 0, "max queries evaluated concurrently (0 = GOMAXPROCS)")
-	historyRetention := flag.Int("history-retention", 0, "materialized result tables kept per query (0 = unlimited)")
+	historyRetention := flag.Int("history-retention", 16, "result tables kept per query in the engine's history (0 = unlimited); GET /queries/{name}/results serves the result rings, not this history")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")

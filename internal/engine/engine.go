@@ -933,15 +933,22 @@ func (q *Query) roller(width time.Duration, static *pg.Graph) (*rolling, error) 
 
 // annotate appends the reserved win_start / win_end columns
 // (Definition 5.6) to a projection result.
+//
+// All rows are cut from one backing array sized to the table: the
+// query's history retains results, so no slack may ride along.
 func annotate(t *eval.Table, iv stream.Interval) *eval.Table {
 	out := &eval.Table{Cols: append(append([]string(nil), t.Cols...), "win_start", "win_end")}
-	suffix := []value.Value{value.NewDateTime(iv.Start), value.NewDateTime(iv.End)}
-	rows := eval.NewDenseBuilder(len(t.Cols) + 2)
-	if len(t.Rows) > 0 {
-		out.Rows = make([][]value.Value, 0, len(t.Rows))
+	if len(t.Rows) == 0 {
+		return out
 	}
-	for _, row := range t.Rows {
-		out.Rows = append(out.Rows, rows.Row(row, suffix))
+	width := len(t.Cols) + 2
+	start, end := value.NewDateTime(iv.Start), value.NewDateTime(iv.End)
+	backing := make([]value.Value, 0, len(t.Rows)*width)
+	out.Rows = make([][]value.Value, len(t.Rows))
+	for i, row := range t.Rows {
+		lo := len(backing)
+		backing = append(append(backing, row...), start, end)
+		out.Rows[i] = backing[lo:len(backing):len(backing)]
 	}
 	return out
 }

@@ -4,8 +4,11 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
+	"seraph/internal/eval"
 	"seraph/internal/pg"
+	"seraph/internal/stream"
 	"seraph/internal/value"
 )
 
@@ -161,5 +164,25 @@ REGISTER QUERY sa STARTING AT 2026-07-06T10:00:00
 	const budget = 400
 	if perRound > budget {
 		t.Fatalf("steady-state delta round allocates %.1f, budget %d — per-round or per-row allocation crept back in", perRound, budget)
+	}
+}
+
+// TestAnnotateAllocs: annotating a one-row result allocates about that
+// row, not a 64-row chunk the retained result would pin.
+func TestAnnotateAllocs(t *testing.T) {
+	tab := &eval.Table{Cols: []string{"x"}, Rows: [][]value.Value{{value.NewInt(1)}}}
+	iv := stream.Interval{Start: base, End: base.Add(time.Minute)}
+	const n = 100
+	var sink *eval.Table
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		sink = annotate(tab, iv)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / n
+	rowSize := uint64(len(sink.Cols)) * uint64(unsafe.Sizeof(value.Value{}))
+	if perCall >= 2*rowSize {
+		t.Fatalf("annotate allocates %d B for one %d B row", perCall, rowSize)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -208,12 +209,21 @@ func TestResultRingHandlesSkipped(t *testing.T) {
 	r := &resultRing{}
 	r.add(engine.Result{Query: "q", At: time.Unix(1, 0), Skipped: true, Table: nil})
 	r.add(engine.Result{Query: "q", At: time.Unix(2, 0), Table: &eval.Table{Cols: []string{"x"}}})
-	items := r.after(0)
-	if len(items) != 2 {
-		t.Fatalf("stored %d results", len(items))
+	bodies := r.after(0)
+	if len(bodies) != 2 {
+		t.Fatalf("stored %d results", len(bodies))
+	}
+	items := make([]struct {
+		Rows    []map[string]any `json:"rows"`
+		Skipped bool             `json:"skipped"`
+	}, len(bodies))
+	for i, b := range bodies {
+		if err := json.Unmarshal(b, &items[i]); err != nil {
+			t.Fatalf("result %d: %v in %s", i, err, b)
+		}
 	}
 	if !items[0].Skipped || items[0].Rows == nil || len(items[0].Rows) != 0 {
-		t.Errorf("skipped result stored as %+v", items[0])
+		t.Errorf("skipped result stored as %s", bodies[0])
 	}
 	if items[1].Skipped {
 		t.Error("real result marked skipped")

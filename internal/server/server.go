@@ -17,10 +17,10 @@
 //	GET    /debug/pprof/*       profiling (opt-in via EnablePprof)
 //	GET    /healthz             liveness
 //
-// Results are buffered per query in a bounded ring; clients poll with
-// the last sequence number they saw. Overflowed (dropped) results are
-// counted per ring and surfaced on GET /queries/{name} and /metrics so
-// a slow poller can detect the gap.
+// Results are buffered per query in a bounded ring, each encoded once
+// as it is emitted; clients poll with the last sequence number they
+// saw. Results evicted by wrap-around are counted per ring and surfaced
+// on GET /queries/{name} and /metrics so a slow poller can detect a gap.
 package server
 
 import (
@@ -49,9 +49,6 @@ import (
 )
 
 func parseQuery(src string) (*ast.Query, error) { return parser.ParseQuery(src) }
-
-// resultBufferSize bounds the per-query result ring.
-const resultBufferSize = 1024
 
 // maxRequestBody bounds the /queries and /cypher request bodies (the
 // NDJSON /events stream is unbounded by design; its per-line size is
@@ -149,7 +146,7 @@ func (s *Server) bindRing(name string, r *resultRing) {
 	r.name = name
 	r.server = s
 	r.dropCtr = s.reg.Counter("seraph_result_ring_dropped_total",
-		"Buffered results evicted before any client fetched them.",
+		"Results evicted from the ring.",
 		metrics.L("query", name))
 }
 
@@ -200,174 +197,6 @@ func (s *Server) HTTPServer(addr string) *http.Server {
 		IdleTimeout:       2 * time.Minute,
 		MaxHeaderBytes:    1 << 20,
 	}
-}
-
-type resultRing struct {
-	mu      sync.Mutex
-	seq     int64
-	dropped int64
-	items   []storedResult
-
-	// name/server resolve the per-ring dropped-results counter; the
-	// counter is created lazily so rings built during engine.Restore
-	// (before the registry is reachable) still report drops.
-	name    string
-	server  *Server
-	dropCtr *metrics.Counter
-}
-
-// ringInfo is the /queries/{name} view of a ring: the newest and oldest
-// retained sequence numbers plus the overflow count. A client that
-// polled up to seq S detects loss when lowest_seq > S+1 or dropped grew.
-type ringInfo struct {
-	LatestSeq int64 `json:"latest_seq"`
-	LowestSeq int64 `json:"lowest_seq"`
-	Buffered  int   `json:"buffered"`
-	Dropped   int64 `json:"dropped"`
-}
-
-func (r *resultRing) info() ringInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	info := ringInfo{LatestSeq: r.seq, Buffered: len(r.items), Dropped: r.dropped}
-	if len(r.items) > 0 {
-		info.LowestSeq = r.items[0].Seq
-	}
-	return info
-}
-
-type storedResult struct {
-	Seq      int64            `json:"seq"`
-	At       time.Time        `json:"at"`
-	WinStart time.Time        `json:"win_start"`
-	WinEnd   time.Time        `json:"win_end"`
-	Op       string           `json:"op"`
-	Columns  []string         `json:"columns"`
-	Rows     []map[string]any `json:"rows"`
-	// Skipped marks an instant shed by overload protection: the query
-	// was not evaluated there, so the empty row set means "unknown",
-	// not "no matches".
-	Skipped bool `json:"skipped,omitempty"`
-}
-
-func (r *resultRing) add(res engine.Result) {
-	table := res.Table
-	if table == nil {
-		// Shed results may carry no table; never let a slow consumer
-		// path panic on one.
-		table = &eval.Table{}
-	}
-	r.mu.Lock()
-	r.seq++
-	sr := storedResult{
-		Seq:      r.seq,
-		At:       res.At,
-		WinStart: res.Window.Start,
-		WinEnd:   res.Window.End,
-		Op:       res.Op.String(),
-		Columns:  table.Cols,
-		Rows:     tableRows(table),
-		Skipped:  res.Skipped,
-	}
-	r.items = append(r.items, sr)
-	var evicted int
-	if len(r.items) > resultBufferSize {
-		evicted = len(r.items) - resultBufferSize
-		r.dropped += int64(evicted)
-		r.items = append(r.items[:0:0], r.items[evicted:]...)
-	}
-	ctr, srv, name := r.dropCtr, r.server, r.name
-	r.mu.Unlock()
-	if evicted > 0 {
-		ctr.Add(int64(evicted))
-		if srv != nil {
-			srv.log.Warn("result ring overflow: slow poller lost results",
-				"query", name, "dropped", evicted)
-		}
-	}
-}
-
-func (r *resultRing) after(seq int64) []storedResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []storedResult
-	for _, it := range r.items {
-		if it.Seq > seq {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
-func tableRows(t *eval.Table) []map[string]any {
-	rows := make([]map[string]any, 0, t.Len())
-	for i := range t.Rows {
-		m := make(map[string]any, len(t.Cols))
-		for j, c := range t.Cols {
-			m[c] = jsonValue(t.Rows[i][j])
-		}
-		rows = append(rows, m)
-	}
-	return rows
-}
-
-// jsonValue converts an internal value to a JSON-friendly form.
-func jsonValue(v value.Value) any {
-	switch v.Kind() {
-	case value.KindNull:
-		return nil
-	case value.KindBool:
-		return v.Bool()
-	case value.KindNumber:
-		if v.IsInt() {
-			return v.Int()
-		}
-		return v.Float()
-	case value.KindString:
-		return v.Str()
-	case value.KindDateTime:
-		return v.DateTime().Format(time.RFC3339Nano)
-	case value.KindDuration:
-		return value.FormatDuration(v.Duration())
-	case value.KindList:
-		out := make([]any, len(v.List()))
-		for i, e := range v.List() {
-			out[i] = jsonValue(e)
-		}
-		return out
-	case value.KindMap:
-		out := make(map[string]any, len(v.Map()))
-		for k, e := range v.Map() {
-			out[k] = jsonValue(e)
-		}
-		return out
-	case value.KindNode:
-		n := v.Node()
-		props := make(map[string]any, len(n.Props))
-		for k, p := range n.Props {
-			props[k] = jsonValue(p)
-		}
-		return map[string]any{"id": n.ID, "labels": n.Labels, "props": props}
-	case value.KindRelationship:
-		r := v.Relationship()
-		props := make(map[string]any, len(r.Props))
-		for k, p := range r.Props {
-			props[k] = jsonValue(p)
-		}
-		return map[string]any{"id": r.ID, "start": r.StartID, "end": r.EndID, "type": r.Type, "props": props}
-	case value.KindPath:
-		p := v.Path()
-		nodes := make([]any, len(p.Nodes))
-		for i, n := range p.Nodes {
-			nodes[i] = jsonValue(value.NewNode(n))
-		}
-		rels := make([]any, len(p.Rels))
-		for i, r := range p.Rels {
-			rels[i] = jsonValue(value.NewRelationship(r))
-		}
-		return map[string]any{"nodes": nodes, "rels": rels}
-	}
-	return nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -483,11 +312,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			since = n
 		}
-		results := ring.after(since)
-		if results == nil {
-			results = []storedResult{}
-		}
-		writeJSON(w, http.StatusOK, results)
+		writeResults(w, ring.after(since))
 	case len(parts) == 1 && r.Method == http.MethodGet:
 		for _, q := range s.engine.Queries() {
 			if q.Name() == name {
@@ -548,7 +373,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	iq := s.iq
 	s.mu.Unlock()
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	// A nil buffer starts small and doubles only as far as a line needs.
+	sc.Buffer(nil, 1<<26)
 	applied := 0 // events fully applied to the merged store and engine
 	lineNo := 0
 	commit := func() int {
@@ -661,10 +487,7 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"columns": out.Cols,
-		"rows":    tableRows(out),
-	})
+	writeTable(w, out)
 }
 
 func (s *Server) execCypher(src string, params map[string]value.Value) (*eval.Table, error) {
@@ -736,7 +559,7 @@ func httpError(w http.ResponseWriter, status int, err error) {
 
 func copyBody(dst *strings.Builder, r *http.Request) (int64, error) {
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<22)
+	sc.Buffer(nil, 1<<22)
 	var n int64
 	for sc.Scan() {
 		dst.WriteString(sc.Text())

@@ -73,13 +73,15 @@ func TestPartialBatchIngestAccounting(t *testing.T) {
 }
 
 // TestResultRingOverflowDropped: once the ring wraps, the dropped
-// counter and the lowest retained seq expose the gap to slow pollers.
+// counter and the lowest retained seq expose the gap to slow pollers,
+// and the wrap is logged once, not once per evicted result.
 func TestResultRingOverflowDropped(t *testing.T) {
 	srv := New()
-	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	var logs strings.Builder
+	srv.SetLogger(slog.New(slog.NewTextHandler(&logs, nil)))
 	ring := &resultRing{}
 	srv.bindRing("q", ring)
-	const extra = 30
+	const extra = 5000 - resultBufferSize
 	for i := 0; i < resultBufferSize+extra; i++ {
 		ring.add(engine.Result{Query: "q", Table: &eval.Table{Cols: []string{"x"}}})
 	}
@@ -100,8 +102,12 @@ func TestResultRingOverflowDropped(t *testing.T) {
 	if err := srv.reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `seraph_result_ring_dropped_total{query="q"} 30`) {
+	if !strings.Contains(buf.String(), fmt.Sprintf(`seraph_result_ring_dropped_total{query="q"} %d`, extra)) {
 		t.Errorf("dropped counter missing from exposition:\n%s", buf.String())
+	}
+	lines := strings.Split(strings.TrimSpace(logs.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], "seraph_result_ring_dropped_total") {
+		t.Errorf("log records = %d, want one naming the counter:\n%s", len(lines), logs.String())
 	}
 }
 
