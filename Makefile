@@ -60,8 +60,12 @@ examples:
 	$(GO) run ./examples/crime
 	$(GO) run ./examples/referencedata
 
+# The four targets of CI's fuzz-smoke job, 20s each.
 fuzz:
-	$(GO) test ./internal/parser -fuzz FuzzParseQuery -fuzztime 30s
+	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 20s ./internal/parser/
+	$(GO) test -run '^$$' -fuzz FuzzParseRegistration -fuzztime 20s ./internal/parser/
+	$(GO) test -run '^$$' -fuzz FuzzRegisterAndPush -fuzztime 20s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 20s ./internal/wal/
 
 fuzz-wal:
 	$(GO) test ./internal/wal -fuzz FuzzWALReplay -fuzztime 30s

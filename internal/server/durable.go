@@ -10,8 +10,8 @@ package server
 // exactly-once across a crash; records below the checkpointed offsets
 // are compacted out of the log after every save.
 //
-// Like server.Restore, the merged /cypher store is not part of engine
-// checkpoints: it starts empty after a restart.
+// The topology index (topology.go) is not part of engine checkpoints:
+// it starts empty after a restart.
 
 import (
 	"errors"
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"seraph/internal/engine"
-	"seraph/internal/graphstore"
 	"seraph/internal/ingest"
 	"seraph/internal/metrics"
 	"seraph/internal/queue"
@@ -69,10 +68,7 @@ func OpenDurable(cfg DurableConfig, opts ...engine.Option) (*Server, error) {
 	}
 	cpDir := filepath.Join(cfg.Dir, "checkpoints")
 
-	s := &Server{
-		merged:  graphstore.New(),
-		buffers: map[string]*resultRing{},
-	}
+	s := &Server{buffers: map[string]*resultRing{}}
 	extra := append([]engine.Option{
 		engine.WithMetrics(metrics.NewRegistry()),
 		engine.WithLogger(slog.Default()),

@@ -7,7 +7,6 @@ package server
 // retry, backoff, and dead-letter quarantine.
 
 import (
-	"net/http"
 	"strconv"
 	"time"
 
@@ -46,17 +45,6 @@ func (s *Server) retryAfterSeconds() string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// rejectBusy writes a 429 with the Retry-After hint. The caller
-// supplies the ingested/total accounting through fail-style fields.
-func (s *Server) rejectBusy(w http.ResponseWriter, applied, total int, err error) {
-	w.Header().Set("Retry-After", s.retryAfterSeconds())
-	writeJSON(w, http.StatusTooManyRequests, map[string]any{
-		"error":    err.Error(),
-		"ingested": applied,
-		"total":    total,
-	})
-}
-
 // ingestQueue is the queue-mode machinery: a bounded in-process topic
 // fed by POST /events and drained by a connector goroutine.
 type ingestQueue struct {
@@ -73,9 +61,9 @@ type ingestQueue struct {
 }
 
 // EnableIngestQueue switches POST /events to asynchronous ingestion:
-// events are validated, merged into the one-time store, then enqueued
-// on a bounded in-process topic (capacity records, full-queue policy
-// as given) instead of being pushed synchronously. A background
+// events are decoded and checked against the topology index, then
+// enqueued on a bounded in-process topic (capacity records, full-queue
+// policy as given) instead of being pushed synchronously. A background
 // connector drains the topic into the engine with backoff on transient
 // rejection and quarantines poison events (for example out-of-order
 // timestamps from interleaved clients) to the events-dlq topic. With

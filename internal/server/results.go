@@ -1,7 +1,7 @@
 package server
 
 // results.go holds the per-query result ring and the JSON encoder behind
-// GET /queries/{name}/results and POST /cypher.
+// GET /queries/{name}/results.
 //
 // A result is a time-annotated table (Def. 5.6) that never changes once
 // emitted, so the ring encodes it exactly once, when the engine's sink
@@ -22,7 +22,6 @@ import (
 	"unicode/utf8"
 
 	"seraph/internal/engine"
-	"seraph/internal/eval"
 	"seraph/internal/metrics"
 	"seraph/internal/value"
 )
@@ -141,17 +140,6 @@ func writeResults(w http.ResponseWriter, bodies [][]byte) {
 		_, _ = w.Write(b)
 	}
 	_, _ = io.WriteString(w, "]\n")
-}
-
-// writeTable serves a one-time query's table as {"columns", "rows"}.
-func writeTable(w http.ResponseWriter, t *eval.Table) {
-	b := appendStrings([]byte(`{"columns":`), t.Cols)
-	b = append(b, `,"rows":`...)
-	b = appendRows(b, t.Cols, t.Rows)
-	b = append(b, "}\n"...)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
 }
 
 // appendResult appends the JSON object for one result, fields in the

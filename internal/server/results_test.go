@@ -22,8 +22,8 @@ import (
 )
 
 // The reference encoder: each row as a map[string]any handed to
-// encoding/json. appendResult, writeResults and writeTable must emit
-// the same bytes for every finite value.
+// encoding/json. appendResult and writeResults must emit the same bytes
+// for every finite value.
 
 type refResult struct {
 	Seq      int64            `json:"seq"`
@@ -202,8 +202,7 @@ func wireResults() []engine.Result {
 
 // TestResultsWireFormat: the encode-once ring serves byte for byte what
 // the map-based encoder served, for every value kind and every kind of
-// since (below lowest_seq, inside, equal to latest_seq and above it),
-// and /cypher tables match likewise.
+// since (below lowest_seq, inside, equal to latest_seq and above it).
 func TestResultsWireFormat(t *testing.T) {
 	results := wireResults()
 	ring := &resultRing{}
@@ -248,20 +247,6 @@ func TestResultsWireFormat(t *testing.T) {
 			t.Errorf("since=%d: Content-Length %s for %d bytes", since, cl, got.Body.Len())
 		}
 	}
-
-	for i, res := range results {
-		if res.Table == nil {
-			continue
-		}
-		got := httptest.NewRecorder()
-		writeTable(got, res.Table)
-		want := httptest.NewRecorder()
-		writeJSON(want, http.StatusOK, map[string]any{"columns": res.Table.Cols, "rows": tableRows(res.Table)})
-		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-			t.Fatalf("table %d: body differs at byte %d\n got: %.300s\nwant: %.300s", i,
-				firstDiff(got.Body.Bytes(), want.Body.Bytes()), got.Body.Bytes(), want.Body.Bytes())
-		}
-	}
 }
 
 func firstDiff(a, b []byte) int {
@@ -274,10 +259,10 @@ func firstDiff(a, b []byte) int {
 }
 
 // TestResultsNonFiniteFloat: a query emitting ±Inf or NaN still gets a
-// valid JSON body on both result endpoints, the values as strings.
+// valid JSON body from GET …/results, the values as strings.
 func TestResultsNonFiniteFloat(t *testing.T) {
 	ts := newTestServer(t)
-	reg := `REGISTER QUERY q STARTING AT NOW { MATCH (a) WITHIN PT1M EMIT 1.0 / 0.0 AS r EVERY PT1M }`
+	reg := `REGISTER QUERY q STARTING AT NOW { MATCH (a) WITHIN PT1M EMIT 1.0 / 0.0 AS p, -1.0 / 0.0 AS m, 0.0 / 0.0 AS n EVERY PT1M }`
 	if resp, m := post(t, ts.URL+"/queries", reg); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register: %d %v", resp.StatusCode, m)
 	}
@@ -288,34 +273,20 @@ func TestResultsNonFiniteFloat(t *testing.T) {
 		Rows []map[string]any `json:"rows"`
 	}
 	get(t, ts.URL+"/queries/q/results", &results)
+	want := map[string]any{"p": "Infinity", "m": "-Infinity", "n": "NaN"}
 	rows := 0
 	for _, r := range results {
 		for _, row := range r.Rows {
 			rows++
-			if row["r"] != "Infinity" {
-				t.Fatalf("r = %#v, want \"Infinity\"", row["r"])
+			for k, v := range want {
+				if row[k] != v {
+					t.Fatalf("%s = %#v, want %q (row %v)", k, row[k], v, row)
+				}
 			}
 		}
 	}
 	if rows == 0 {
 		t.Fatalf("no rows in %d results", len(results))
-	}
-
-	body, _ := json.Marshal(map[string]any{"query": "RETURN 1.0 / 0.0 AS p, -1.0 / 0.0 AS m, 0.0 / 0.0 AS n"})
-	resp, err := http.Post(ts.URL+"/cypher", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var cy struct {
-		Rows []map[string]any `json:"rows"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&cy); err != nil {
-		t.Fatalf("/cypher: %v", err)
-	}
-	want := map[string]any{"p": "Infinity", "m": "-Infinity", "n": "NaN"}
-	if len(cy.Rows) != 1 || fmt.Sprint(cy.Rows[0]) != fmt.Sprint(want) {
-		t.Fatalf("/cypher rows = %v, want [%v]", cy.Rows, want)
 	}
 }
 
@@ -379,8 +350,9 @@ func BenchmarkRingAdd(b *testing.B) {
 }
 
 // TestEventsRequestAllocs: a one-line POST /events allocates in
-// proportion to its line, not a fixed 1 MiB scanner buffer, and a
-// 2 MiB line is still accepted.
+// proportion to its line, not a fixed 1 MiB scanner buffer; a 30 KB
+// line costs less than decoding it plus one copy of it; and a 2 MiB
+// line is still accepted.
 func TestEventsRequestAllocs(t *testing.T) {
 	srv := New()
 	h := srv.Handler()
@@ -407,6 +379,36 @@ func TestEventsRequestAllocs(t *testing.T) {
 		t.Errorf("one-line POST allocates %d B, want < 64 KiB", per)
 	}
 
+	big := wideEventJSON(t, base)
+	if len(big) < 30_000 {
+		t.Fatalf("wide event is %d B, want ≥ 30 KB", len(big))
+	}
+	avgAlloc := func(f func()) uint64 {
+		const runs = 20
+		f() // warm-up: pooled buffers, interned symbols
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	decode := avgAlloc(func() {
+		if _, _, err := ingest.Decode([]byte(big)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	posted := avgAlloc(func() {
+		if code := postEvent(big); code != http.StatusOK {
+			t.Fatalf("POST /events: %d", code)
+		}
+	})
+	if limit := decode + uint64(len(big)); posted >= limit {
+		t.Errorf("one-line POST of a %d B event allocates %d B, want < %d (decode %d B + the line)",
+			len(big), posted, limit, decode)
+	}
+	t.Logf("%d B event: decode %d B, POST %d B", len(big), decode, posted)
+
 	g := pg.New()
 	g.AddNode(&value.Node{ID: n + 1, Labels: []string{"N"},
 		Props: map[string]value.Value{"blob": value.NewString(strings.Repeat("x", 2<<20))}})
@@ -417,6 +419,32 @@ func TestEventsRequestAllocs(t *testing.T) {
 	if code := postEvent(string(data)); code != http.StatusOK {
 		t.Fatalf("2 MiB event line: %d", code)
 	}
+}
+
+// wideEventJSON encodes a 30 KB event shaped like the benchmark's churn
+// events: a hundred relationships with properties between forty nodes.
+func wideEventJSON(t *testing.T, at time.Time) string {
+	t.Helper()
+	g := pg.New()
+	for i := int64(0); i < 40; i++ {
+		g.AddNode(&value.Node{ID: i, Labels: []string{"Station"},
+			Props: map[string]value.Value{"id": value.NewInt(i), "name": value.NewString(fmt.Sprint("station-", i))}})
+	}
+	for i := int64(0); i < 100; i++ {
+		if err := g.AddRel(&value.Relationship{ID: 1000 + i, StartID: i % 40, EndID: (i*7 + 1) % 40, Type: "rentedAt",
+			Props: map[string]value.Value{
+				"user_id":  value.NewInt(10_000 + i),
+				"val_time": value.NewDateTime(at.Add(-time.Duration(i) * time.Second)),
+				"note":     value.NewString(strings.Repeat("x", 160)),
+			}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := ingest.Encode(g, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // TestRingConcurrentPoll: pollers reading while the sink adds (and the

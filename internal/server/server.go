@@ -11,7 +11,6 @@
 //	GET    /queries/{name}/results?since=N   buffered results after seq N
 //	GET    /groups              shared evaluation groups (multi-query optimization)
 //	POST   /events              ingest NDJSON graph events
-//	POST   /cypher              one-time query over the merged graph
 //	GET    /checkpoint          download an engine checkpoint
 //	GET    /metrics             Prometheus text-format metrics
 //	GET    /debug/pprof/*       profiling (opt-in via EnablePprof)
@@ -25,6 +24,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,32 +37,27 @@ import (
 	"sync"
 	"time"
 
-	"seraph/internal/ast"
 	"seraph/internal/engine"
-	"seraph/internal/eval"
-	"seraph/internal/graphstore"
 	"seraph/internal/ingest"
 	"seraph/internal/metrics"
-	"seraph/internal/parser"
+	"seraph/internal/pg"
 	"seraph/internal/queue"
-	"seraph/internal/value"
 )
 
-func parseQuery(src string) (*ast.Query, error) { return parser.ParseQuery(src) }
-
-// maxRequestBody bounds the /queries and /cypher request bodies (the
-// NDJSON /events stream is unbounded by design; its per-line size is
-// bounded by the scanner buffer instead).
+// maxRequestBody bounds the POST /queries request body (the NDJSON
+// /events stream is unbounded by design; its per-line size is bounded
+// by the scanner buffer instead).
 const maxRequestBody = 1 << 20
 
 // Server is the HTTP facade over an engine.
 type Server struct {
 	mu      sync.Mutex
 	engine  *engine.Engine
-	merged  *graphstore.Store // merged graph for one-time /cypher queries
 	buffers map[string]*resultRing
 	events  int
 	pprof   bool
+
+	topo topologyIndex // relationship topology within the widest window
 
 	log        *slog.Logger
 	reg        *metrics.Registry // the engine's registry; nil when disabled
@@ -82,10 +77,7 @@ type Server struct {
 // The engine records into a server-owned metrics registry served on
 // GET /metrics; pass engine.WithMetrics to override (nil disables).
 func New(opts ...engine.Option) *Server {
-	s := &Server{
-		merged:  graphstore.New(),
-		buffers: map[string]*resultRing{},
-	}
+	s := &Server{buffers: map[string]*resultRing{}}
 	base := []engine.Option{
 		engine.WithMetrics(metrics.NewRegistry()),
 		engine.WithLogger(slog.Default()),
@@ -97,14 +89,10 @@ func New(opts ...engine.Option) *Server {
 
 // Restore returns a server whose engine resumes from a checkpoint
 // (see /checkpoint). Each restored query gets a fresh result buffer.
-// The merged /cypher graph is not part of engine checkpoints and starts
-// empty. Extra engine options (parallelism, metrics, …) are applied on
-// top of the checkpoint-derived configuration.
+// Extra engine options (parallelism, metrics, …) are applied on top of
+// the checkpoint-derived configuration.
 func Restore(r io.Reader, opts ...engine.Option) (*Server, error) {
-	s := &Server{
-		merged:  graphstore.New(),
-		buffers: map[string]*resultRing{},
-	}
+	s := &Server{buffers: map[string]*resultRing{}}
 	extra := append([]engine.Option{
 		engine.WithMetrics(metrics.NewRegistry()),
 		engine.WithLogger(slog.Default()),
@@ -135,6 +123,7 @@ func (s *Server) finishInit() {
 	for name, ring := range s.buffers {
 		s.bindRing(name, ring)
 	}
+	s.topo.setWidth(s.engine)
 }
 
 // bindRing attaches a result ring to the server's registry and logger,
@@ -170,7 +159,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/queries/", s.handleQuery)
 	mux.HandleFunc("/groups", s.handleGroups)
 	mux.HandleFunc("/events", s.handleEvents)
-	mux.HandleFunc("/cypher", s.handleCypher)
 	mux.HandleFunc("/checkpoint", s.handleCheckpoint)
 	mux.Handle("/metrics", s.reg.Handler())
 	if s.pprof {
@@ -254,7 +242,11 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 		body := new(strings.Builder)
 		if _, err := copyBody(body, r); err != nil {
-			httpError(w, bodyErrStatus(err), err)
+			status := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, status, err)
 			return
 		}
 		ring := &resultRing{}
@@ -267,6 +259,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		s.buffers[q.Name()] = ring
 		s.mu.Unlock()
+		s.topo.setWidth(s.engine)
 		reg := q.Registration()
 		s.log.Info("query registered",
 			"query", q.Name(), "within", reg.MaxWithin(), "stream", q.Stream())
@@ -274,16 +267,6 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.WriteHeader(http.StatusMethodNotAllowed)
 	}
-}
-
-// bodyErrStatus maps request-body read failures to a status: 413 when
-// the MaxBytesReader limit tripped, 400 otherwise.
-func bodyErrStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -349,21 +332,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		delete(s.buffers, name)
 		s.mu.Unlock()
+		s.topo.setWidth(s.engine)
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		w.WriteHeader(http.StatusMethodNotAllowed)
 	}
 }
 
-// handleEvents ingests NDJSON events: each line one graph event. Events
-// are pushed to the engine (advancing the virtual clock) and merged
-// into the one-time store.
+// scanBufs recycles POST /events scanner buffers (lines up to 64 KiB).
+var scanBufs = sync.Pool{New: func() any {
+	b := make([]byte, 64<<10)
+	return &b
+}}
+
+// handleEvents ingests NDJSON events: each line one graph event, pushed
+// to the engine (advancing the virtual clock) or, in queue mode, enqueued.
 //
 // Ingestion is line-by-line, so a mid-batch failure leaves the events
 // before the bad line applied. The applied count is recorded
 // unconditionally — s.events and the engine always agree — and error
 // responses carry "ingested"/"total" so the client knows exactly how
 // far the batch got and can resume after the failing line.
+//
+// Conflicts the posted data causes are 409 (see admit), as is a window
+// union the events make inconsistent (Def. 5.4).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.WriteHeader(http.StatusMethodNotAllowed)
@@ -372,11 +364,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	iq := s.iq
 	s.mu.Unlock()
+	buf := scanBufs.Get().(*[]byte)
+	defer scanBufs.Put(buf)
 	sc := bufio.NewScanner(r.Body)
-	// A nil buffer starts small and doubles only as far as a line needs.
-	sc.Buffer(nil, 1<<26)
-	applied := 0 // events fully applied to the merged store and engine
-	lineNo := 0
+	sc.Buffer(*buf, 1<<26)  // longer lines grow a private buffer
+	applied, lineNo := 0, 0 // events accepted by the engine or queue; lines read
 	commit := func() int {
 		s.mu.Lock()
 		s.events += applied
@@ -385,11 +377,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.ingested.Add(int64(applied))
 		return total
 	}
+	// A 429 (queue or engine full) is backpressure, not an error.
 	fail := func(status int, err error) {
 		total := commit()
-		s.ingestErrs.Inc()
-		s.log.Error("ingest failed mid-batch",
-			"line", lineNo, "ingested", applied, "err", err)
+		if status == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", s.retryAfterSeconds())
+		} else {
+			s.ingestErrs.Inc()
+			s.log.Error("ingest failed mid-batch",
+				"line", lineNo, "ingested", applied, "err", err)
+		}
 		writeJSON(w, status, map[string]any{
 			"error":    err.Error(),
 			"ingested": applied,
@@ -397,53 +394,32 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes()) // Decode does not retain it
+		if len(line) == 0 {
 			continue
 		}
 		lineNo++
-		g, ts, err := ingest.Decode([]byte(line))
+		g, ts, err := ingest.Decode(line)
 		if err != nil {
 			fail(http.StatusBadRequest, fmt.Errorf("event %d: %w", lineNo, err))
 			return
 		}
-		s.mu.Lock()
-		err = ingest.MergeInto(s.merged, g)
-		s.mu.Unlock()
-		if err != nil {
-			fail(http.StatusConflict, fmt.Errorf("event %d: %w", lineNo, err))
+		if status, err := s.admit(iq, line, g, ts); err != nil {
+			fail(status, fmt.Errorf("event %d: %w", lineNo, err))
 			return
 		}
-		if iq != nil {
-			// Queue mode: enqueue the raw event; the background
-			// connector pushes and evaluates. A full bounded topic is
-			// the backpressure signal.
-			if _, err := iq.broker.Produce(ingestTopic, "", []byte(line), ts); err != nil {
-				if queue.IsTransient(err) {
-					total := commit()
-					s.rejectBusy(w, applied, total, fmt.Errorf("event %d: %w", lineNo, err))
-					return
-				}
-				fail(http.StatusInternalServerError, fmt.Errorf("event %d: %w", lineNo, err))
-				return
-			}
-			applied++
-			continue
-		}
-		if err := s.engine.Push(g, ts); err != nil {
-			if engine.IsBusy(err) {
-				total := commit()
-				s.rejectBusy(w, applied, total, fmt.Errorf("event %d: %w", lineNo, err))
-				return
-			}
-			fail(http.StatusConflict, fmt.Errorf("event %d: %w", lineNo, err))
-			return
-		}
-		// The event is in the engine now: count it even if evaluation
-		// below fails, so the reported count matches engine state.
+		// The event is accepted now: count it even if evaluation below
+		// fails, so the reported count matches engine state.
 		applied++
+		if iq != nil {
+			continue // the background connector pushes and evaluates
+		}
 		if err := s.engine.AdvanceTo(ts); err != nil {
-			fail(http.StatusInternalServerError, err)
+			status := http.StatusInternalServerError
+			if errors.As(err, new(*pg.Inconsistency)) {
+				status = http.StatusConflict
+			}
+			fail(status, err)
 			return
 		}
 	}
@@ -455,93 +431,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ingested": applied, "total": total})
 }
 
-type cypherRequest struct {
-	Query  string         `json:"query"`
-	Params map[string]any `json:"params"`
-}
-
-// handleCypher evaluates a one-time Cypher query against the merged
-// graph (the Figure 2 style Neo4j-equivalent store).
-func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
+// admit checks an event against the topology index, enqueues or pushes
+// it, and records it once accepted; on failure it returns 409 (topology
+// conflict, out-of-order push), 429 (queue or engine full) or 500. The
+// index lock spans the hand-off so only one of two concurrent conflicting
+// events gets in. Producers are serialised downstream anyway, and the
+// drain goroutine never takes the lock, so a Produce blocked on a full
+// topic only delays producers that would block too.
+func (s *Server) admit(iq *ingestQueue, line []byte, g *pg.Graph, ts time.Time) (int, error) {
+	s.topo.mu.Lock()
+	defer s.topo.mu.Unlock()
+	if err := s.topo.check(g, ts); err != nil {
+		return http.StatusConflict, err
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	var req cypherRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, bodyErrStatus(err), err)
-		return
-	}
-	params := map[string]value.Value{}
-	for k, v := range req.Params {
-		cv, err := jsonToValue(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("param %q: %w", k, err))
-			return
-		}
-		params[k] = cv
-	}
-	out, err := s.execCypher(req.Query, params)
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeTable(w, out)
-}
-
-func (s *Server) execCypher(src string, params map[string]value.Value) (*eval.Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, err := parseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	ctx := &eval.Ctx{
-		Store:  s.merged,
-		Params: params,
-		Builtins: map[string]value.Value{
-			"now": value.NewDateTime(s.engine.Now()),
-		},
-	}
-	return eval.EvalQuery(ctx, q)
-}
-
-func jsonToValue(v any) (value.Value, error) {
-	switch x := v.(type) {
-	case nil:
-		return value.Null, nil
-	case bool:
-		return value.NewBool(x), nil
-	case string:
-		return value.NewString(x), nil
-	case float64:
-		if x == float64(int64(x)) {
-			return value.NewInt(int64(x)), nil
-		}
-		return value.NewFloat(x), nil
-	case []any:
-		items := make([]value.Value, len(x))
-		for i, e := range x {
-			cv, err := jsonToValue(e)
-			if err != nil {
-				return value.Null, err
+	if iq != nil {
+		// Produce retains the value; line is the scanner's buffer.
+		if _, err := iq.broker.Produce(ingestTopic, "", bytes.Clone(line), ts); err != nil {
+			if queue.IsTransient(err) {
+				return http.StatusTooManyRequests, err
 			}
-			items[i] = cv
+			return http.StatusInternalServerError, err
 		}
-		return value.NewList(items...), nil
-	case map[string]any:
-		m := make(map[string]value.Value, len(x))
-		for k, e := range x {
-			cv, err := jsonToValue(e)
-			if err != nil {
-				return value.Null, err
-			}
-			m[k] = cv
+	} else if err := s.engine.Push(g, ts); err != nil {
+		if engine.IsBusy(err) {
+			return http.StatusTooManyRequests, err
 		}
-		return value.NewMap(m), nil
+		return http.StatusConflict, err
 	}
-	return value.Null, fmt.Errorf("unsupported parameter type %T", v)
+	s.topo.record(g, ts)
+	return 0, nil
 }
 
 // ms renders a duration as fractional milliseconds for JSON payloads.

@@ -268,16 +268,11 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	}
 }
 
-// TestCypherBodyLimit: oversized /cypher and /queries bodies are
-// rejected with 413 instead of being read to completion.
-func TestCypherBodyLimit(t *testing.T) {
+// TestQueriesBodyLimit: an oversized /queries body is rejected with 413
+// instead of being read to completion.
+func TestQueriesBodyLimit(t *testing.T) {
 	ts := newTestServer(t)
-	big := fmt.Sprintf(`{"query": %q}`, strings.Repeat("x", maxRequestBody+1024))
-	resp, _ := post(t, ts.URL+"/cypher", big)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("cypher status = %d, want 413", resp.StatusCode)
-	}
-	resp, _ = post(t, ts.URL+"/queries", strings.Repeat("y", maxRequestBody+1024))
+	resp, _ := post(t, ts.URL+"/queries", strings.Repeat("y", maxRequestBody+1024))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("queries status = %d, want 413", resp.StatusCode)
 	}

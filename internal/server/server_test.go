@@ -147,24 +147,6 @@ func TestFullPipelineOverHTTP(t *testing.T) {
 		t.Errorf("stats: %v", stat)
 	}
 
-	// One-time Cypher over the merged graph (Figure 2).
-	body, _ := json.Marshal(map[string]any{
-		"query": "MATCH (n) RETURN count(*) AS n",
-	})
-	resp2, err := http.Post(ts.URL+"/cypher", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var cy map[string]any
-	if err := json.NewDecoder(resp2.Body).Decode(&cy); err != nil {
-		t.Fatal(err)
-	}
-	rows := cy["rows"].([]any)
-	if n := rows[0].(map[string]any)["n"].(float64); n != 8 {
-		t.Errorf("merged node count = %v", n)
-	}
-
 	// List queries.
 	var list []map[string]any
 	get(t, ts.URL+"/queries", &list)
@@ -219,28 +201,6 @@ func TestEventErrors(t *testing.T) {
 	resp, m = post(t, ts.URL+"/events", lines[0]+"\n")
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("out-of-order event: %d %v", resp.StatusCode, m)
-	}
-}
-
-func TestCypherParams(t *testing.T) {
-	ts := newTestServer(t)
-	post(t, ts.URL+"/events", figure1NDJSON(t))
-	body, _ := json.Marshal(map[string]any{
-		"query":  "MATCH (s:Station) WHERE s.id >= $min RETURN count(*) AS n",
-		"params": map[string]any{"min": 3},
-	})
-	resp, err := http.Post(ts.URL+"/cypher", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	rows := out["rows"].([]any)
-	if n := rows[0].(map[string]any)["n"].(float64); n != 2 {
-		t.Errorf("stations ≥ 3: %v", n)
 	}
 }
 
