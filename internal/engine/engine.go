@@ -70,7 +70,7 @@ type Engine struct {
 	static *pg.Graph
 
 	// incremental switches snapshot maintenance from rebuild-per-
-	// evaluation to a refcounted rolling graph that applies only the
+	// evaluation to a rolling graph that applies only the
 	// elements entering and leaving each window (the paper's Section 6
 	// "efficient window maintenance" optimization).
 	incremental bool

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"seraph/internal/graphstore"
 	"seraph/internal/pg"
@@ -15,44 +17,27 @@ import (
 // implements the paper's first planned optimization ("efficient window
 // maintenance", Section 6).
 //
-// Union under the unique name assumption is additive, so removal needs
-// reference counting: every entity, label and property value tracks how
-// many window elements currently contribute it, and disappears when the
-// count reaches zero. A property key contributed with two different
-// values is an inconsistency, exactly as in pg.Union.
+// A snapshot graph is the union of its elements (Def. 5.4), so the
+// store is determined by which elements contribute each entity: nodes
+// and rels list, per id, the element-owned versions contributing it.
+// The first contributor inserts a store-owned copy; later ones must
+// agree on topology and shared property values (else the union is
+// inconsistent, as in pg.Union) and add what the store lacks. A leaving
+// contributor takes the keys and labels no other one carries, and the
+// last one the entity, so the store holds only what the window holds.
 type rolling struct {
-	store *graphstore.Store
-
-	nodeRef  map[int64]int
-	relRef   map[int64]int
-	labelRef map[int64]map[string]int
-	propRef  map[propSite]*propEntry
-
-	// included tracks the elements currently inside the window, keyed
-	// by graph identity.
-	included map[*pg.Graph]stream.Element
-}
-
-// propSite identifies one property slot on a node or relationship.
-type propSite struct {
-	rel bool
-	id  int64
-	key string
-}
-
-type propEntry struct {
-	count  int
-	valKey string
-	val    value.Value
+	store    *graphstore.Store
+	nodes    map[int64][]*value.Node
+	rels     map[int64][]*value.Relationship
+	included map[*pg.Graph]stream.Element // window elements by identity
+	keyBuf   []byte                       // reused by checkProps
 }
 
 func newRolling() *rolling {
 	return &rolling{
 		store:    graphstore.New(),
-		nodeRef:  map[int64]int{},
-		relRef:   map[int64]int{},
-		labelRef: map[int64]map[string]int{},
-		propRef:  map[propSite]*propEntry{},
+		nodes:    map[int64][]*value.Node{},
+		rels:     map[int64][]*value.Relationship{},
 		included: map[*pg.Graph]stream.Element{},
 	}
 }
@@ -61,7 +46,8 @@ func newRolling() *rolling {
 // applying removals first (freeing slots for consistent re-adds) and
 // then additions. It returns how many elements entered and left the
 // window, the per-instant maintenance cost the paper's Section 6
-// optimization trades against full rebuilds.
+// optimization trades against full rebuilds. An element that makes the
+// window inconsistent leaves no contribution behind.
 func (r *rolling) advance(elems []stream.Element) (added, removed int, err error) {
 	current := make(map[*pg.Graph]bool, len(elems))
 	for _, e := range elems {
@@ -69,7 +55,7 @@ func (r *rolling) advance(elems []stream.Element) (added, removed int, err error
 	}
 	for g, e := range r.included {
 		if !current[g] {
-			r.remove(e.Graph)
+			r.remove(e.Graph.Nodes(), e.Graph.Rels())
 			delete(r.included, g)
 			removed++
 		}
@@ -87,138 +73,141 @@ func (r *rolling) advance(elems []stream.Element) (added, removed int, err error
 	return added, removed, nil
 }
 
+// add contributes every entity of g, nodes first (relationships need
+// their endpoints). On an inconsistency it withdraws what it added.
 func (r *rolling) add(g *pg.Graph) error {
-	// Nodes first (relationships need endpoints present).
-	for _, n := range g.Nodes() {
-		if r.nodeRef[n.ID] == 0 {
-			r.store.AddNode(&value.Node{ID: n.ID, Props: map[string]value.Value{}})
-		}
-		r.nodeRef[n.ID]++
-		lr := r.labelRef[n.ID]
-		if lr == nil {
-			lr = map[string]int{}
-			r.labelRef[n.ID] = lr
-		}
-		sn := r.store.Node(n.ID)
-		for _, l := range n.Labels {
-			if lr[l] == 0 {
-				r.store.AddLabel(sn, l)
-			}
-			lr[l]++
-		}
-		for k, v := range n.Props {
-			if err := r.addProp(propSite{id: n.ID, key: k}, v); err != nil {
-				return err
-			}
+	nodes, rels := g.Nodes(), g.Rels()
+	for i, n := range nodes {
+		if err := r.addNode(n); err != nil {
+			r.remove(nodes[:i], nil)
+			return err
 		}
 	}
-	for _, rel := range g.Rels() {
-		if r.relRef[rel.ID] == 0 {
-			if err := r.store.AddRel(&value.Relationship{
-				ID: rel.ID, StartID: rel.StartID, EndID: rel.EndID,
-				Type: rel.Type, Props: map[string]value.Value{},
-			}); err != nil {
-				return err
-			}
-		} else {
-			existing := r.store.Rel(rel.ID)
-			if existing.StartID != rel.StartID || existing.EndID != rel.EndID || existing.Type != rel.Type {
-				return &pg.Inconsistency{Entity: "relationship", ID: rel.ID, Reason: "differing topology"}
-			}
-		}
-		r.relRef[rel.ID]++
-		for k, v := range rel.Props {
-			if err := r.addProp(propSite{rel: true, id: rel.ID, key: k}, v); err != nil {
-				return err
-			}
+	for i, rel := range rels {
+		if err := r.addRel(rel); err != nil {
+			r.remove(nodes, rels[:i])
+			return err
 		}
 	}
 	return nil
 }
 
-// setStoreProp routes a rolling-store property write through the
-// store's setters so its property indexes are maintained incrementally
-// (the rolling store is long-lived; rebuilt indexes would cost O(label)
-// per stream element).
-func (r *rolling) setStoreProp(site propSite, v value.Value) {
-	if site.rel {
-		if rel := r.store.Rel(site.id); rel != nil {
-			r.store.SetRelProp(rel, site.key, v)
+func (r *rolling) addNode(n *value.Node) error {
+	cs, sn := r.nodes[n.ID], r.store.Node(n.ID)
+	if len(cs) == 0 {
+		sn = &value.Node{ID: n.ID, Props: cloneProps(n.Props)}
+		r.store.AddNode(sn)
+	} else if err := r.checkProps("node", n.ID, sn.Props, n.Props); err != nil {
+		return err
+	}
+	for _, l := range n.Labels {
+		r.store.AddLabel(sn, l)
+	}
+	for k, v := range n.Props {
+		if _, ok := sn.Props[k]; !ok {
+			r.store.SetNodeProp(sn, k, v)
 		}
-		return
 	}
-	if n := r.store.Node(site.id); n != nil {
-		r.store.SetNodeProp(n, site.key, v)
-	}
-}
-
-func (r *rolling) addProp(site propSite, v value.Value) error {
-	pe := r.propRef[site]
-	vk := value.Key(v)
-	if pe == nil || pe.count == 0 {
-		r.propRef[site] = &propEntry{count: 1, valKey: vk, val: v}
-		r.setStoreProp(site, v)
-		return nil
-	}
-	if pe.valKey != vk {
-		entity := "node"
-		if site.rel {
-			entity = "relationship"
-		}
-		return &pg.Inconsistency{Entity: entity, ID: site.id,
-			Reason: fmt.Sprintf("property %q: %s vs %s", site.key, pe.val, v)}
-	}
-	pe.count++
+	r.nodes[n.ID] = append(cs, n)
 	return nil
 }
 
-// remove undoes one element's contribution. Relationships go first so
-// nodes are free to disappear afterwards.
-func (r *rolling) remove(g *pg.Graph) {
-	for _, rel := range g.Rels() {
+func (r *rolling) addRel(rel *value.Relationship) error {
+	cs, sr := r.rels[rel.ID], r.store.Rel(rel.ID)
+	if len(cs) == 0 {
+		sr = &value.Relationship{ID: rel.ID, StartID: rel.StartID, EndID: rel.EndID,
+			Type: rel.Type, Props: cloneProps(rel.Props)}
+		if err := r.store.AddRel(sr); err != nil {
+			return err
+		}
+	} else if sr.StartID != rel.StartID || sr.EndID != rel.EndID || sr.Type != rel.Type {
+		return &pg.Inconsistency{Entity: "relationship", ID: rel.ID, Reason: "differing topology"}
+	} else if err := r.checkProps("relationship", rel.ID, sr.Props, rel.Props); err != nil {
+		return err
+	}
+	for k, v := range rel.Props {
+		if _, ok := sr.Props[k]; !ok {
+			r.store.SetRelProp(sr, k, v)
+		}
+	}
+	r.rels[rel.ID] = append(cs, rel)
+	return nil
+}
+
+// checkProps reports an inconsistency if props gives a key the store
+// entity already holds a value whose value.Key differs.
+func (r *rolling) checkProps(entity string, id int64, have, props map[string]value.Value) error {
+	for k, v := range props {
+		old, ok := have[k]
+		if !ok {
+			continue
+		}
+		r.keyBuf = value.AppendKey(r.keyBuf[:0], old)
+		n := len(r.keyBuf)
+		r.keyBuf = value.AppendKey(r.keyBuf, v)
+		if !bytes.Equal(r.keyBuf[:n], r.keyBuf[n:]) {
+			return &pg.Inconsistency{Entity: entity, ID: id,
+				Reason: fmt.Sprintf("property %q: %s vs %s", k, old, v)}
+		}
+	}
+	return nil
+}
+
+// remove withdraws the given contributions. Relationships go first so
+// nodes are free to disappear afterwards: every element carries its
+// relationships' endpoints, so a node outlives its relationships.
+func (r *rolling) remove(nodes []*value.Node, rels []*value.Relationship) {
+	for _, rel := range rels {
+		cs := r.rels[rel.ID]
+		i := slices.Index(cs, rel)
+		if i < 0 {
+			continue
+		}
 		sr := r.store.Rel(rel.ID)
-		for k := range rel.Props {
-			r.removeProp(propSite{rel: true, id: rel.ID, key: k})
-		}
-		r.relRef[rel.ID]--
-		if r.relRef[rel.ID] == 0 {
+		if len(cs) == 1 {
 			r.store.DeleteRel(sr)
-			delete(r.relRef, rel.ID)
+			delete(r.rels, rel.ID)
+			continue
 		}
-	}
-	for _, n := range g.Nodes() {
-		sn := r.store.Node(n.ID)
-		for k := range n.Props {
-			r.removeProp(propSite{id: n.ID, key: k})
-		}
-		lr := r.labelRef[n.ID]
-		for _, l := range n.Labels {
-			lr[l]--
-			if lr[l] == 0 {
-				r.store.RemoveLabel(sn, l)
-				delete(lr, l)
+		cs = slices.Delete(cs, i, i+1)
+		r.rels[rel.ID] = cs
+		for k := range rel.Props {
+			if !slices.ContainsFunc(cs, func(c *value.Relationship) bool { _, ok := c.Props[k]; return ok }) {
+				r.store.SetRelProp(sr, k, value.Null)
 			}
 		}
-		r.nodeRef[n.ID]--
-		if r.nodeRef[n.ID] == 0 {
-			// All relationships referencing the node are gone: every
-			// element carries its relationships' endpoints, so their
-			// refcounts cannot outlive the node's.
+	}
+	for _, n := range nodes {
+		cs := r.nodes[n.ID]
+		i := slices.Index(cs, n)
+		if i < 0 {
+			continue
+		}
+		sn := r.store.Node(n.ID)
+		if len(cs) == 1 {
 			_ = r.store.DeleteNode(sn, false)
-			delete(r.nodeRef, n.ID)
-			delete(r.labelRef, n.ID)
+			delete(r.nodes, n.ID)
+			continue
+		}
+		cs = slices.Delete(cs, i, i+1)
+		r.nodes[n.ID] = cs
+		for _, l := range n.Labels {
+			if !slices.ContainsFunc(cs, func(c *value.Node) bool { return c.HasLabel(l) }) {
+				r.store.RemoveLabel(sn, l)
+			}
+		}
+		for k := range n.Props {
+			if !slices.ContainsFunc(cs, func(c *value.Node) bool { _, ok := c.Props[k]; return ok }) {
+				r.store.SetNodeProp(sn, k, value.Null)
+			}
 		}
 	}
 }
 
-func (r *rolling) removeProp(site propSite) {
-	pe := r.propRef[site]
-	if pe == nil {
-		return
+func cloneProps(props map[string]value.Value) map[string]value.Value {
+	out := make(map[string]value.Value, len(props))
+	for k, v := range props {
+		out[k] = v
 	}
-	pe.count--
-	if pe.count == 0 {
-		r.setStoreProp(site, value.Null)
-		delete(r.propRef, site)
-	}
+	return out
 }

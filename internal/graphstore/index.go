@@ -17,6 +17,8 @@ package graphstore
 // index (see TestPropIndexMaintenanceQuick).
 
 import (
+	"slices"
+
 	"seraph/internal/symtab"
 	"seraph/internal/value"
 )
@@ -209,7 +211,7 @@ func (idx *propIndex) remove(vk string, id int64) {
 	bucket := idx.byVal[vk]
 	for i, n := range bucket {
 		if n.ID == id {
-			bucket = append(bucket[:i], bucket[i+1:]...)
+			bucket = slices.Delete(bucket, i, i+1)
 			if len(bucket) == 0 {
 				delete(idx.byVal, vk)
 			} else {

@@ -8,6 +8,7 @@
 package graphstore
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -138,8 +139,9 @@ func insertNodeSorted(ns []*value.Node, n *value.Node) []*value.Node {
 
 // removeNodeSorted deletes node id from the id-sorted slice ns. Window
 // eviction retires the oldest ids first, so the common case is popping
-// the front, which re-slices without copying the tail (the slot is
-// nilled so the node is not retained by the shared backing array).
+// the front, which re-slices without copying the tail. Either way the
+// vacated slot is nilled so the shared backing array does not retain
+// the node.
 func removeNodeSorted(ns []*value.Node, id int64) []*value.Node {
 	i := sort.Search(len(ns), func(i int) bool { return ns[i].ID >= id })
 	if i >= len(ns) || ns[i].ID != id {
@@ -149,7 +151,7 @@ func removeNodeSorted(ns []*value.Node, id int64) []*value.Node {
 		ns[0] = nil
 		return ns[1:]
 	}
-	return append(ns[:i], ns[i+1:]...)
+	return slices.Delete(ns, i, i+1)
 }
 
 func (s *Store) indexNode(n *value.Node) {
@@ -411,12 +413,11 @@ func (s *Store) AddLabel(n *value.Node, l string) {
 
 // RemoveLabel removes label l from node n.
 func (s *Store) RemoveLabel(n *value.Node, l string) {
-	for i, x := range n.Labels {
-		if x == l {
-			n.Labels = append(n.Labels[:i], n.Labels[i+1:]...)
-			break
-		}
+	i := slices.Index(n.Labels, l)
+	if i < 0 {
+		return
 	}
+	n.Labels = slices.Delete(n.Labels, i, i+1)
 	id := symtab.Lookup(l)
 	s.label[id] = removeNodeSorted(s.label[id], n.ID)
 	s.propIndexRemoveLabel(n, l)
@@ -500,15 +501,28 @@ func (s *Store) DeleteRel(r *value.Relationship) {
 
 // DeleteNode removes node n. If detach is true its relationships are
 // removed first; otherwise deleting a node with relationships is an
-// error, matching Cypher's DELETE vs DETACH DELETE.
+// error, matching Cypher's DELETE vs DETACH DELETE. Afterwards no index
+// holds a key naming n: a long-lived store (the rolling window store)
+// sees a fresh id space every window, so a stale key is a leak.
 func (s *Store) DeleteNode(n *value.Node, detach bool) error {
-	rels := append(append([]*value.Relationship(nil), s.out[n.ID]...), s.in[n.ID]...)
-	if len(rels) > 0 && !detach {
-		return &NotDetachedError{NodeID: n.ID, Rels: len(rels)}
+	if deg := len(s.out[n.ID]) + len(s.in[n.ID]); deg > 0 && !detach {
+		return &NotDetachedError{NodeID: n.ID, Rels: deg}
 	}
-	for _, r := range rels {
-		s.DeleteRel(r)
+	// Delete from the back of each list so DeleteRel's in-place removal
+	// never shifts an element we have yet to visit; a self-loop leaves
+	// both lists at once and is deleted once.
+	for rels := s.out[n.ID]; len(rels) > 0; rels = s.out[n.ID] {
+		s.DeleteRel(rels[len(rels)-1])
 	}
+	for rels := s.in[n.ID]; len(rels) > 0; rels = s.in[n.ID] {
+		s.DeleteRel(rels[len(rels)-1])
+	}
+	delete(s.out, n.ID)
+	delete(s.in, n.ID)
+	s.idxMu.Lock()
+	delete(s.outTDone, n.ID)
+	delete(s.inTDone, n.ID)
+	s.idxMu.Unlock()
 	for _, l := range n.Labels {
 		id := symtab.Lookup(l)
 		s.label[id] = removeNodeSorted(s.label[id], n.ID)
@@ -530,10 +544,12 @@ func (e *NotDetachedError) Error() string {
 	return "graphstore: cannot delete node with relationships (use DETACH DELETE)"
 }
 
+// removeRel deletes relationship id from rels, nilling the vacated
+// slot so the backing array does not retain the relationship.
 func removeRel(rels []*value.Relationship, id int64) []*value.Relationship {
 	for i, r := range rels {
 		if r.ID == id {
-			return append(rels[:i], rels[i+1:]...)
+			return slices.Delete(rels, i, i+1)
 		}
 	}
 	return rels

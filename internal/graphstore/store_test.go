@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"seraph/internal/pg"
+	"seraph/internal/symtab"
 	"seraph/internal/value"
 )
 
@@ -146,5 +147,93 @@ func TestAddNodeAddRelExplicitIDs(t *testing.T) {
 	}
 	if r, _ := s.CreateRel(100, 200, "U", nil); r.ID <= 300 {
 		t.Errorf("fresh rel id %d", r.ID)
+	}
+}
+
+// TestStoreForgetsDeletedEntities: after every entity is deleted, no
+// index keeps a key or a slot naming one. A long-lived store (the
+// engine's rolling window store) sees fresh ids every window, so a key
+// left behind per deleted node is an unbounded leak.
+func TestStoreForgetsDeletedEntities(t *testing.T) {
+	s := New()
+	props := func(v int64) map[string]value.Value { return map[string]value.Value{"k": value.NewInt(v)} }
+	for id := int64(1); id <= 6; id++ {
+		s.AddNode(&value.Node{ID: id, Labels: []string{"L", "M"}, Props: props(id % 2)})
+	}
+	rels := []*value.Relationship{
+		{ID: 10, StartID: 1, EndID: 2, Type: "R"},
+		{ID: 11, StartID: 1, EndID: 3, Type: "S"},
+		{ID: 12, StartID: 2, EndID: 3, Type: "R"},
+		{ID: 13, StartID: 4, EndID: 4, Type: "R"}, // self-loop
+		{ID: 14, StartID: 5, EndID: 1, Type: "S"},
+		{ID: 15, StartID: 6, EndID: 5, Type: "R"},
+	}
+	for _, r := range rels {
+		r.Props = props(r.ID)
+		if err := s.AddRel(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Partition every node's adjacency and build the property index.
+	types := lookupIDs([]string{"R"})
+	for id := int64(1); id <= 6; id++ {
+		s.OutgoingIDs(id, types)
+		s.IncomingIDs(id, types)
+	}
+	if got := len(s.NodesByLabelProp("L", "k", value.NewInt(1))); got != 3 {
+		t.Fatalf("index hit = %d, want 3", got)
+	}
+
+	// Interior removals must clear the vacated slot of each slice.
+	s.DeleteRel(rels[0]) // out[1] = [10 11] → [11]
+	if out := s.out[1]; len(out) != 1 || out[:cap(out)][1] != nil {
+		t.Errorf("out[1] after DeleteRel: %v, tail not cleared", out[:cap(out)])
+	}
+	n3 := s.Node(3)
+	s.RemoveLabel(n3, "L") // Labels [L M] → [M]
+	if l := n3.Labels; len(l) != 1 || l[:cap(l)][1] != "" {
+		t.Errorf("labels after RemoveLabel: %q", l[:cap(l)])
+	}
+	if b := s.label[symtab.Lookup("L")]; b[:cap(b)][len(b)] != nil {
+		t.Error("label bucket tail not cleared after interior removal")
+	}
+	if b := s.propIdx[propIdxKey{symtab.Lookup("L"), symtab.Lookup("k")}].byVal[value.Key(value.NewInt(1))]; b[:cap(b)][len(b)] != nil {
+		t.Error("property bucket tail not cleared after interior removal")
+	}
+
+	s.DeleteRel(rels[2])
+	// A self-loop sits in both adjacency lists of its node and is
+	// deleted once.
+	if err := s.DeleteNode(s.Node(4), true); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.RelTypeCount("R"); got != 1 {
+		t.Errorf("RelTypeCount(R) = %d after deleting the self-loop's node, want 1", got)
+	}
+	for _, n := range s.AllNodes() {
+		if err := s.DeleteNode(n, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.NumNodes() != 0 || s.NumRels() != 0 {
+		t.Fatalf("sizes %d/%d after deleting everything", s.NumNodes(), s.NumRels())
+	}
+	for name, n := range map[string]int{
+		"out": len(s.out), "in": len(s.in), "outT": len(s.outT), "inT": len(s.inT),
+		"outTDone": len(s.outTDone), "inTDone": len(s.inTDone), "relType": len(s.relType),
+	} {
+		if n != 0 {
+			t.Errorf("%s keeps %d keys", name, n)
+		}
+	}
+	for l, b := range s.label {
+		if len(b) != 0 {
+			t.Errorf("label %s keeps %d nodes", symtab.Name(l), len(b))
+		}
+	}
+	for ik, idx := range s.propIdx {
+		if len(idx.byVal) != 0 {
+			t.Errorf("property index %v keeps %d buckets", ik, len(idx.byVal))
+		}
 	}
 }
