@@ -48,9 +48,8 @@ const (
 	// loss window. Lost records are re-produced at identical offsets.
 	KillAfterAppend
 	// KillMidCheckpoint crashes while a checkpoint is being written:
-	// the directory is littered with a torn temp file, an unreferenced
-	// checkpoint and a torn manifest rename, all of which recovery must
-	// ignore.
+	// the directory is littered with a torn MANIFEST.json.tmp and a
+	// stray file, both of which recovery must ignore.
 	KillMidCheckpoint
 	// KillMidRecovery crashes during recovery itself: a first recovery
 	// is started and abandoned mid-way, then recovery runs again — it
@@ -373,17 +372,16 @@ func activeSegment(walDir string) (string, int64, error) {
 }
 
 // scatterCheckpointDebris litters the checkpoint directory with what a
-// crash mid-save leaves behind: a torn temp file, a checkpoint no
-// manifest references, and a torn manifest rename. Recovery must
-// ignore all of it (the manifest written last is the commit point).
+// crash mid-save leaves behind — a torn temp file the rename never
+// committed — plus a stray file no save writes. Recovery must ignore
+// both (the rename of MANIFEST.json is the commit point).
 func scatterCheckpointDebris(cpDir string) error {
 	if err := os.MkdirAll(cpDir, 0o755); err != nil {
 		return err
 	}
 	for _, f := range []struct{ name, data string }{
-		{"cp-000999-full.json.tmp", `{"torn mid-wri`},
-		{"cp-000998-delta.json", `{"queries": "never referenced by any manifest"}`},
-		{"MANIFEST.json.tmp", `{"seq": 99, "torn`},
+		{"MANIFEST.json.tmp", `{"version": 2, "seq": 99, "torn`},
+		{"cp-000998-delta.json", `{"queries": "not a checkpoint"}`},
 	} {
 		if err := os.WriteFile(filepath.Join(cpDir, f.name), []byte(f.data), 0o644); err != nil {
 			return err

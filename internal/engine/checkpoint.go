@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"seraph/internal/ast"
 	"seraph/internal/eval"
 	"seraph/internal/ingest"
 	"seraph/internal/parser"
+	"seraph/internal/stream"
 	"seraph/internal/window"
 )
 
@@ -20,58 +22,104 @@ import (
 // fires on schedule and ON ENTERING / ON EXITING diffs continue against
 // the pre-restart results (rebuilt by a silent warm-up evaluation).
 //
+// Each input stream's window (Engine.Window) is stored once; a query
+// records only how many of its last elements it buffers.
+//
 // Limitations: parameterized registrations (RegisterWithParams) are not
 // checkpointable, and per-query sinks must be re-bound at restore time.
 
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 type checkpointFile struct {
-	Version     int               `json:"version"`
-	Bounds      string            `json:"bounds"`
-	Cache       bool              `json:"cache"`
-	Incremental bool              `json:"incremental"`
-	DeltaEval   bool              `json:"delta_eval,omitempty"`
-	SharedEval  bool              `json:"shared_eval,omitempty"`
-	HierOff     bool              `json:"shared_hier_off,omitempty"`
-	Now         time.Time         `json:"now"`
-	Static      json.RawMessage   `json:"static,omitempty"`
-	Queries     []checkpointQuery `json:"queries"`
+	Version     int                `json:"version"`
+	Bounds      string             `json:"bounds"`
+	Cache       bool               `json:"cache"`
+	Incremental bool               `json:"incremental"`
+	DeltaEval   bool               `json:"delta_eval,omitempty"`
+	SharedEval  bool               `json:"shared_eval,omitempty"`
+	HierOff     bool               `json:"shared_hier_off,omitempty"`
+	Now         time.Time          `json:"now"`
+	Static      json.RawMessage    `json:"static,omitempty"`
+	Streams     []checkpointStream `json:"streams"`
+	Queries     []checkpointQuery  `json:"queries"`
+	// Seq and Offsets are set by Checkpointer.Save (checkpointdir.go).
+	Seq     int                `json:"seq,omitempty"`
+	Offsets map[string][]int64 `json:"offsets,omitempty"`
 }
 
-type checkpointQuery struct {
-	Source   string            `json:"source"`
-	Stream   string            `json:"stream,omitempty"`
-	Start    time.Time         `json:"start"`
-	Pending  bool              `json:"pending,omitempty"`
-	NextEval time.Time         `json:"next_eval"`
-	Done     bool              `json:"done,omitempty"`
-	Stats    Stats             `json:"stats"`
+type checkpointStream struct {
+	Name     string            `json:"name"`
 	Elements []json.RawMessage `json:"elements"`
 }
 
+type checkpointQuery struct {
+	Source   string    `json:"source"`
+	Stream   string    `json:"stream,omitempty"`
+	Start    time.Time `json:"start"`
+	Pending  bool      `json:"pending,omitempty"`
+	NextEval time.Time `json:"next_eval"`
+	Done     bool      `json:"done,omitempty"`
+	Stats    Stats     `json:"stats"`
+	// Buffered is the length of the query's history: the last Buffered
+	// elements of its stream's window.
+	Buffered int `json:"buffered"`
+}
+
 // Checkpoint writes the engine's state to w.
-func (e *Engine) Checkpoint(w io.Writer) error {
-	cp, _, err := e.checkpointState(nil)
+func (e *Engine) Checkpoint(w io.Writer) error { return e.writeCheckpoint(w, 0, nil) }
+
+// writeCheckpoint captures the engine's state and encodes it to w, with
+// the Checkpointer's sequence number and applied offsets (zero for a
+// plain Checkpoint).
+func (e *Engine) writeCheckpoint(w io.Writer, seq int, offsets map[string][]int64) error {
+	cp, err := e.checkpointState()
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cp)
+	cp.Seq, cp.Offsets = seq, offsets
+	return json.NewEncoder(w).Encode(cp)
 }
 
-// checkpointState captures the engine's durable state. since, when
-// non-nil, makes the capture incremental: a query's buffered elements
-// are included only when their timestamp is after since(queryName) —
-// schedules and stats are always complete, so a delta checkpoint is a
-// full checkpoint minus already-persisted window elements. The second
-// return value maps each query to the newest element timestamp it
-// buffers (whether or not the element was included), which the next
-// delta capture passes back as since.
-func (e *Engine) checkpointState(since func(queryName string) time.Time) (*checkpointFile, map[string]time.Time, error) {
+// Window returns the elements the engine buffers for the named input
+// stream: the longest history of any query registered on it. Every
+// query on a stream receives the same pushes from the time it registers
+// and prunes only from the front, so every other history on the stream
+// is a suffix of it.
+func (e *Engine) Window(streamName string) []stream.Element {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	newest := map[string]time.Time{}
+	return e.window(streamName)
+}
+
+// window is Window with e.mu held. Holding e.mu excludes pushes, so the
+// histories read afterwards can only be shorter: evaluation workers
+// prune from the front.
+func (e *Engine) window(streamName string) []stream.Element {
+	var w []stream.Element
+	for _, q := range e.queries {
+		if q.streamName != streamName {
+			continue
+		}
+		if h := q.buffered(); len(h) > len(w) {
+			w = h
+		}
+	}
+	return w
+}
+
+// buffered returns the history q's evaluations read: its own, or its
+// shared group's chassis's.
+func (q *Query) buffered() []stream.Element {
+	if q.memberOf != nil {
+		return q.memberOf.chassis.hist.Elements()
+	}
+	return q.hist.Elements()
+}
+
+// checkpointState captures the engine's durable state.
+func (e *Engine) checkpointState() (*checkpointFile, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	cp := &checkpointFile{
 		Version:     checkpointVersion,
 		Bounds:      e.bounds.String(),
@@ -85,7 +133,7 @@ func (e *Engine) checkpointState(since func(queryName string) time.Time) (*check
 	if e.static != nil {
 		data, err := ingest.Encode(e.static, time.Unix(0, 0))
 		if err != nil {
-			return nil, nil, fmt.Errorf("engine: checkpoint static graph: %w", err)
+			return nil, fmt.Errorf("engine: checkpoint static graph: %w", err)
 		}
 		cp.Static = data
 	}
@@ -94,10 +142,26 @@ func (e *Engine) checkpointState(since func(queryName string) time.Time) (*check
 		names = append(names, name)
 	}
 	sort.Strings(names) // deterministic checkpoint contents
+	windows := map[string][]stream.Element{}
 	for _, name := range names {
 		q := e.queries[name]
 		if q.params != nil {
-			return nil, nil, fmt.Errorf("engine: checkpoint: query %q has parameters, which are not checkpointable", q.name)
+			return nil, fmt.Errorf("engine: checkpoint: query %q has parameters, which are not checkpointable", q.name)
+		}
+		w, seen := windows[q.streamName]
+		if !seen {
+			// Read before any history on the stream (see window).
+			w = e.window(q.streamName)
+			windows[q.streamName] = w
+			cs := checkpointStream{Name: q.streamName, Elements: make([]json.RawMessage, 0, len(w))}
+			for _, el := range w {
+				data, err := ingest.Encode(el.Graph, el.Time)
+				if err != nil {
+					return nil, fmt.Errorf("engine: checkpoint stream %q: %w", q.streamName, err)
+				}
+				cs.Elements = append(cs.Elements, data)
+			}
+			cp.Streams = append(cp.Streams, cs)
 		}
 		q.mu.Lock()
 		cq := checkpointQuery{
@@ -109,36 +173,28 @@ func (e *Engine) checkpointState(since func(queryName string) time.Time) (*check
 			Done:     q.done,
 			Stats:    q.stats,
 		}
-		// A shared-group member buffers no elements of its own; its
-		// window history lives on the group's chassis. Each member
-		// serializes the full list so the checkpoint stays per-query
-		// self-contained (Restore regroups from scratch).
-		hist := q.hist
-		if q.memberOf != nil {
-			hist = q.memberOf.chassis.hist
-		}
-		elems := hist.Elements()
+		h := q.buffered()
 		q.mu.Unlock()
-		var cutoff time.Time
-		if since != nil {
-			cutoff = since(name)
+		if !isSuffix(h, w) {
+			return nil, fmt.Errorf("engine: checkpoint: query %q buffers a history that is not a suffix of stream %q's window", q.name, q.streamName)
 		}
-		for _, el := range elems {
-			if el.Time.After(newest[name]) {
-				newest[name] = el.Time
-			}
-			if since != nil && !el.Time.After(cutoff) {
-				continue
-			}
-			data, err := ingest.Encode(el.Graph, el.Time)
-			if err != nil {
-				return nil, nil, fmt.Errorf("engine: checkpoint query %q: %w", q.name, err)
-			}
-			cq.Elements = append(cq.Elements, data)
-		}
+		cq.Buffered = len(h)
 		cp.Queries = append(cp.Queries, cq)
 	}
-	return cp, newest, nil
+	return cp, nil
+}
+
+// isSuffix reports whether h is a suffix of w by graph identity.
+func isSuffix(h, w []stream.Element) bool {
+	if len(h) > len(w) {
+		return false
+	}
+	for i, el := range w[len(w)-len(h):] {
+		if el.Graph != h[i].Graph {
+			return false
+		}
+	}
+	return true
 }
 
 // Restore reconstructs an engine from a checkpoint. sinkFor is called
@@ -195,11 +251,10 @@ func checkConfigConflict(cp *checkpointFile, extra []Option) error {
 }
 
 // restoreDecoded builds an engine from an already-decoded checkpoint
-// (possibly the merge of a full checkpoint and its delta chain — see
-// Recover in checkpointdir.go).
+// (Restore, and Recover in checkpointdir.go).
 func restoreDecoded(cp *checkpointFile, sinkFor func(queryName string) Sink, extra []Option) (*Engine, error) {
 	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("engine: restore: unsupported checkpoint version %d", cp.Version)
+		return nil, fmt.Errorf("engine: restore: unsupported checkpoint version %d (this engine reads version %d)", cp.Version, checkpointVersion)
 	}
 	if err := checkConfigConflict(cp, extra); err != nil {
 		return nil, err
@@ -218,6 +273,24 @@ func restoreDecoded(cp *checkpointFile, sinkFor func(queryName string) Sink, ext
 	opts = append(opts, extra...)
 	e := New(opts...)
 	e.now = cp.Now
+
+	// Decode each stream's window once; every query on the stream
+	// appends the same graphs.
+	windows := make(map[string][]stream.Element, len(cp.Streams))
+	for _, cs := range cp.Streams {
+		if _, dup := windows[cs.Name]; dup {
+			return nil, fmt.Errorf("engine: restore: stream %q listed twice", cs.Name)
+		}
+		w := make([]stream.Element, 0, len(cs.Elements))
+		for _, data := range cs.Elements {
+			g, ts, err := ingest.Decode(data)
+			if err != nil {
+				return nil, fmt.Errorf("engine: restore stream %q: %w", cs.Name, err)
+			}
+			w = append(w, stream.Element{Graph: g, Time: ts})
+		}
+		windows[cs.Name] = w
+	}
 
 	// Phase 1: register every query ungrouped and replay its history.
 	// Shared-group formation is deferred to a regroup pass that sees
@@ -245,12 +318,15 @@ func restoreDecoded(cp *checkpointFile, sinkFor func(queryName string) Sink, ext
 		q.evalTarget = q.nextEval.Add(-time.Nanosecond)
 		q.done = cq.Done
 		q.stats = cq.Stats
-		for _, data := range cq.Elements {
-			g, ts, err := ingest.Decode(data)
-			if err != nil {
-				return nil, fmt.Errorf("engine: restore query %q history: %w", reg.Name, err)
-			}
-			if err := q.hist.Append(g, ts); err != nil {
+		w, ok := windows[cq.Stream]
+		if !ok {
+			return nil, fmt.Errorf("engine: restore query %q: stream %q has no window in the checkpoint", reg.Name, cq.Stream)
+		}
+		if cq.Buffered < 0 || cq.Buffered > len(w) {
+			return nil, fmt.Errorf("engine: restore query %q: buffered %d outside stream %q's %d elements", reg.Name, cq.Buffered, cq.Stream, len(w))
+		}
+		for _, el := range w[len(w)-cq.Buffered:] {
+			if err := q.hist.Append(el.Graph, el.Time); err != nil {
 				return nil, fmt.Errorf("engine: restore query %q history: %w", reg.Name, err)
 			}
 		}
@@ -309,7 +385,9 @@ func restoreDecoded(cp *checkpointFile, sinkFor func(queryName string) Sink, ext
 // on their restored schedule (next evaluation instant) and buffered
 // window contents — two generations of the same fingerprint that were
 // registered at different times hold different histories and must stay
-// separate. Runs during single-threaded restore; no locking.
+// separate. Histories on one stream are suffixes of one window, so equal
+// length means equal contents. Runs during single-threaded restore; no
+// locking.
 func (e *Engine) restoreSharedGroups(restored []*Query) {
 	byKey := map[string]*sharedGroup{}
 	for _, q := range restored {
@@ -332,7 +410,7 @@ func (e *Engine) restoreSharedGroups(restored []*Query) {
 		baseKey := sharedGroupKey(cq, q, deltaOK, widthSafe)
 		key := baseKey +
 			"|next=" + q.nextEval.Format(time.RFC3339Nano) +
-			"|hist=" + substreamKey(q.hist.Elements())
+			"|hist=" + strconv.Itoa(q.hist.Len())
 		g := byKey[key]
 		if g == nil {
 			g = e.newSharedGroup(baseKey, q, cq, deltaOK, widthSafe)

@@ -1,27 +1,16 @@
 package engine
 
-// checkpointdir.go manages a directory of checkpoints so engine state
-// survives process crashes without replaying the stream from zero:
-// durable state = newest full checkpoint + its delta chain + WAL replay
-// from the manifest's stream offsets.
+// checkpointdir.go keeps an engine's checkpoint in a directory so engine
+// state survives process crashes without replaying the stream from
+// zero: durable state = the checkpoint + WAL replay from its stream
+// offsets.
 //
-// Layout:
-//
-//	MANIFEST.json          the only entry point: names the current full
-//	                       checkpoint, its delta chain (in order), the
-//	                       applied stream offsets, and the per-query
-//	                       newest-element watermarks
-//	cp-<seq>-full.json     complete engine state (Engine.Checkpoint)
-//	cp-<seq>-delta.json    complete query schedules, but only window
-//	                       elements newer than the previous capture
-//
-// Every file is written via temp-file-rename, and the manifest is
-// written last: a crash at any point leaves either the old manifest
-// (pointing at the old, complete chain) or the new one (pointing at
-// the new, already-durable files). Orphaned cp-* or *.tmp files from a
-// torn save are ignored by Recover and removed by the next retention
-// sweep. Retention keeps the chain the manifest references plus the
-// previously referenced chain; older files are deleted.
+// The directory holds one file, MANIFEST.json: the engine checkpoint
+// (the format Engine.Checkpoint writes, checkpoint.go) plus the save's
+// sequence number and the applied stream offsets. Save writes it via
+// temp-file-rename; the rename is the commit point, so a crash at any
+// point leaves either the old checkpoint or the new one. A torn
+// MANIFEST.json.tmp is ignored by Recover and replaced by the next Save.
 
 import (
 	"bytes"
@@ -30,306 +19,117 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 )
 
 // ErrNoCheckpoint is returned by Recover when the directory holds no
-// manifest — the caller should start a fresh engine instead.
+// checkpoint — the caller should start a fresh engine instead.
 var ErrNoCheckpoint = errors.New("engine: no checkpoint in directory")
 
-const (
-	manifestName    = "MANIFEST.json"
-	manifestVersion = 1
-)
+const manifestName = "MANIFEST.json"
 
-// manifest is the durable root of a checkpoint directory.
-type manifest struct {
-	Version int      `json:"version"`
-	Seq     int      `json:"seq"`
-	Full    string   `json:"full"`
-	Deltas  []string `json:"deltas,omitempty"`
-	// Offsets records, per stream topic, the per-partition next-offset
-	// each consumer had fully applied when the checkpoint was taken.
-	// Recovery replays the log from these positions; records below them
-	// are already reflected in the engine state.
-	Offsets map[string][]int64 `json:"offsets,omitempty"`
-	// LastElem is the per-query newest buffered element timestamp at
-	// capture time; the next delta capture persists only newer elements.
-	LastElem map[string]time.Time `json:"last_elem,omitempty"`
-}
-
-// Checkpointer writes an engine's state into a checkpoint directory,
-// alternating cheap incremental (delta) checkpoints with periodic full
-// ones. It is not safe for concurrent use; callers serialize Save.
+// Checkpointer writes an engine's state into a checkpoint directory. It
+// is not safe for concurrent use; callers serialize Save.
 type Checkpointer struct {
 	e   *Engine
 	dir string
-
-	// fullEvery caps the delta chain length: after this many deltas the
-	// next Save writes a full checkpoint (default 8).
-	fullEvery int
-
-	m         manifest
-	prevChain []string // previous full chain, retained one rotation
-}
-
-// CheckpointerOption configures a Checkpointer.
-type CheckpointerOption func(*Checkpointer)
-
-// WithFullEvery sets how many delta checkpoints may accumulate before
-// the next Save writes a full one. n <= 0 makes every Save full.
-func WithFullEvery(n int) CheckpointerOption {
-	return func(c *Checkpointer) { c.fullEvery = n }
+	seq int
 }
 
 // NewCheckpointer opens (creating if necessary) the checkpoint
-// directory for e. An existing manifest is loaded so an incremental
-// chain continues across process restarts.
-func (e *Engine) NewCheckpointer(dir string, opts ...CheckpointerOption) (*Checkpointer, error) {
+// directory for e. The sequence number continues from an existing
+// checkpoint.
+func (e *Engine) NewCheckpointer(dir string) (*Checkpointer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: checkpointer: %w", err)
 	}
-	c := &Checkpointer{e: e, dir: dir, fullEvery: 8}
-	for _, o := range opts {
-		o(c)
-	}
-	m, err := readManifest(dir)
+	c := &Checkpointer{e: e, dir: dir}
+	cp, err := readCheckpoint(dir)
 	switch {
 	case err == nil:
-		c.m = *m
-	case errors.Is(err, ErrNoCheckpoint):
-		c.m = manifest{Version: manifestVersion}
-	default:
+		c.seq = cp.Seq
+	case !errors.Is(err, ErrNoCheckpoint):
 		return nil, err
 	}
 	return c, nil
 }
 
+// readCheckpoint decodes dir's checkpoint file, or returns
+// ErrNoCheckpoint when there is none.
+func readCheckpoint(dir string) (*checkpointFile, error) {
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, ErrNoCheckpoint
+	}
+	if err != nil {
+		return nil, fmt.Errorf("engine: read checkpoint: %w", err)
+	}
+	var cp checkpointFile
+	if err := json.Unmarshal(data, &cp); err != nil {
+		return nil, fmt.Errorf("engine: checkpoint %s corrupt: %w", manifestName, err)
+	}
+	return &cp, nil
+}
+
 // Seq returns the sequence number of the last completed Save (0 before
 // the first).
-func (c *Checkpointer) Seq() int { return c.m.Seq }
+func (c *Checkpointer) Seq() int { return c.seq }
 
 // Save captures the engine's current state. offsets (per stream topic,
 // per partition) record how far the caller's consumers had applied the
 // durable log when the engine reached this state; Recover hands them
-// back so ingestion resumes exactly there. Save decides full vs delta
-// by chain length; the write is atomic — a crash anywhere leaves the
-// previous checkpoint intact.
+// back so ingestion resumes exactly there. The write is atomic — a
+// crash anywhere leaves the previous checkpoint intact.
 func (c *Checkpointer) Save(offsets map[string][]int64) error {
-	seq := c.m.Seq + 1
-	full := c.m.Full == "" || len(c.m.Deltas) >= c.fullEvery
-	var (
-		cp     *checkpointFile
-		newest map[string]time.Time
-		err    error
-	)
-	if full {
-		cp, newest, err = c.e.checkpointState(nil)
-	} else {
-		last := c.m.LastElem
-		cp, newest, err = c.e.checkpointState(func(q string) time.Time { return last[q] })
-	}
-	if err != nil {
-		return err
-	}
-	kind := "delta"
-	if full {
-		kind = "full"
-	}
-	name := fmt.Sprintf("cp-%06d-%s.json", seq, kind)
+	seq := c.seq + 1
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(cp); err != nil {
-		return fmt.Errorf("engine: checkpoint %s: %w", name, err)
-	}
-	if err := atomicWriteFile(filepath.Join(c.dir, name), buf.Bytes()); err != nil {
-		return fmt.Errorf("engine: checkpoint %s: %w", name, err)
-	}
-
-	next := manifest{Version: manifestVersion, Seq: seq, Offsets: offsets, LastElem: newest}
-	if full {
-		next.Full = name
-	} else {
-		next.Full = c.m.Full
-		next.Deltas = append(append([]string(nil), c.m.Deltas...), name)
-	}
-	mdata, err := json.MarshalIndent(next, "", "  ")
-	if err != nil {
+	if err := c.e.writeCheckpoint(&buf, seq, offsets); err != nil {
 		return err
 	}
-	if err := atomicWriteFile(filepath.Join(c.dir, manifestName), mdata); err != nil {
-		return fmt.Errorf("engine: checkpoint manifest: %w", err)
+	if err := atomicWriteFile(filepath.Join(c.dir, manifestName), buf.Bytes()); err != nil {
+		return fmt.Errorf("engine: checkpoint %s: %w", manifestName, err)
 	}
-	if full && c.m.Full != "" {
-		c.prevChain = append([]string{c.m.Full}, c.m.Deltas...)
-	}
-	c.m = next
-	c.sweep()
+	c.seq = seq
 	if reg := c.e.Metrics(); reg != nil {
 		reg.Gauge("seraph_checkpoint_bytes",
 			"Size in bytes of the most recent checkpoint file.").Set(int64(buf.Len()))
 		reg.Gauge("seraph_checkpoint_seq",
 			"Sequence number of the most recent completed checkpoint.").Set(int64(seq))
-		reg.Gauge("seraph_checkpoint_chain_length",
-			"Delta checkpoints accumulated since the last full checkpoint.").Set(int64(len(next.Deltas)))
 	}
 	return nil
-}
-
-// sweep deletes checkpoint files referenced by neither the current
-// manifest nor the previously-referenced chain (kept one rotation as a
-// safety margin), plus any *.tmp litter from torn writes. Sweep errors
-// are ignored: retention is advisory, correctness never depends on a
-// deletion happening.
-func (c *Checkpointer) sweep() {
-	keep := map[string]bool{manifestName: true, c.m.Full: true}
-	for _, d := range c.m.Deltas {
-		keep[d] = true
-	}
-	for _, d := range c.prevChain {
-		keep[d] = true
-	}
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		n := e.Name()
-		if keep[n] {
-			continue
-		}
-		if strings.HasSuffix(n, ".tmp") || (strings.HasPrefix(n, "cp-") && strings.HasSuffix(n, ".json")) {
-			os.Remove(filepath.Join(c.dir, n))
-		}
-	}
 }
 
 // RecoveryInfo describes a completed Recover.
 type RecoveryInfo struct {
 	// Seq is the recovered checkpoint sequence number.
 	Seq int
-	// Offsets are the per-topic, per-partition applied offsets from the
-	// manifest: ingestion must resume from exactly these positions (and
+	// Offsets are the per-topic, per-partition applied offsets of the
+	// checkpoint: ingestion must resume from exactly these positions (and
 	// treat lower offsets as already applied) for exactly-once delivery.
 	Offsets map[string][]int64
-	// Deltas is the delta-chain length merged on top of the full
-	// checkpoint.
-	Deltas int
-	// Duration is the wall time Recover spent (decode + merge + warm-up).
+	// Duration is the wall time Recover spent (decode + warm-up).
 	Duration time.Duration
 }
 
-// Recover rebuilds an engine from a checkpoint directory: the newest
-// full checkpoint with its delta chain merged on top, restored with the
+// Recover rebuilds an engine from a checkpoint directory, with the
 // usual silent warm-up (see Restore). Returns ErrNoCheckpoint when the
-// directory has no manifest. Orphaned checkpoint files a torn Save left
-// behind are ignored — only files the manifest references are read.
+// directory has no checkpoint.
 func Recover(dir string, sinkFor func(queryName string) Sink, extra ...Option) (*Engine, *RecoveryInfo, error) {
 	start := time.Now()
-	m, err := readManifest(dir)
+	cp, err := readCheckpoint(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	base, err := readCheckpointFile(filepath.Join(dir, m.Full))
+	e, err := restoreDecoded(cp, sinkFor, extra)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, name := range m.Deltas {
-		d, err := readCheckpointFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, nil, err
-		}
-		mergeDelta(base, d)
-	}
-	e, err := restoreDecoded(base, sinkFor, extra)
-	if err != nil {
-		return nil, nil, err
-	}
-	info := &RecoveryInfo{Seq: m.Seq, Offsets: m.Offsets, Deltas: len(m.Deltas), Duration: time.Since(start)}
+	info := &RecoveryInfo{Seq: cp.Seq, Offsets: cp.Offsets, Duration: time.Since(start)}
 	if reg := e.Metrics(); reg != nil {
 		reg.Histogram("seraph_recovery_seconds",
 			"Wall time to rebuild engine state from the checkpoint directory.").Observe(info.Duration)
 	}
 	return e, info, nil
-}
-
-// mergeDelta folds one delta checkpoint into base, in place. The
-// delta's query list is authoritative — queries absent from it were
-// deregistered — and a query's merged window elements are the base's
-// (captured earlier, older timestamps) followed by the delta's (only
-// elements newer than the previous capture's watermark). Identity is
-// (source, stream, start): a deregistered-and-re-registered query has a
-// fresh start and deliberately inherits no stale elements.
-func mergeDelta(base, d *checkpointFile) {
-	type qkey struct {
-		source, stream string
-		start          time.Time
-	}
-	prior := make(map[qkey][]json.RawMessage, len(base.Queries))
-	for _, q := range base.Queries {
-		prior[qkey{q.Source, q.Stream, q.Start}] = q.Elements
-	}
-	for i := range d.Queries {
-		q := &d.Queries[i]
-		if olds, ok := prior[qkey{q.Source, q.Stream, q.Start}]; ok {
-			q.Elements = append(append([]json.RawMessage(nil), olds...), q.Elements...)
-		}
-	}
-	*base = *d
-}
-
-func readManifest(dir string) (*manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, ErrNoCheckpoint
-	}
-	if err != nil {
-		return nil, fmt.Errorf("engine: read checkpoint manifest: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("engine: checkpoint manifest corrupt: %w", err)
-	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("engine: unsupported checkpoint manifest version %d", m.Version)
-	}
-	if m.Full == "" {
-		return nil, fmt.Errorf("engine: checkpoint manifest names no full checkpoint")
-	}
-	return &m, nil
-}
-
-func readCheckpointFile(path string) (*checkpointFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("engine: read checkpoint: %w", err)
-	}
-	defer f.Close()
-	var cp checkpointFile
-	if err := json.NewDecoder(f).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("engine: checkpoint %s corrupt: %w", filepath.Base(path), err)
-	}
-	return &cp, nil
-}
-
-// Checkpoints lists the checkpoint files currently on disk, sorted —
-// a test and debugging helper.
-func Checkpoints(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "cp-") && strings.HasSuffix(e.Name(), ".json") {
-			out = append(out, e.Name())
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // atomicWriteFile writes data via temp-file-rename, syncing before the

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"seraph/internal/window"
 )
@@ -85,9 +84,9 @@ func TestRestoreRejectsConflictingOptions(t *testing.T) {
 	}
 }
 
-// TestCheckpointerSaveRecover: a full + delta chain recovers to an
-// engine whose subsequent emissions match an uninterrupted run, and the
-// manifest round-trips the caller's stream offsets.
+// TestCheckpointerSaveRecover: repeated saves recover to an engine
+// whose subsequent emissions match an uninterrupted run, and the
+// checkpoint round-trips the caller's stream offsets.
 func TestCheckpointerSaveRecover(t *testing.T) {
 	// Reference: uninterrupted run over the whole schedule.
 	ref := &Collector{}
@@ -106,7 +105,7 @@ func TestCheckpointerSaveRecover(t *testing.T) {
 	if _, err := e.RegisterSource(strings.Replace(sensorQuery, "%s", "ON ENTERING", 1), col1.Sink()); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := e.NewCheckpointer(dir, WithFullEvery(2))
+	ck, err := e.NewCheckpointer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +117,6 @@ func TestCheckpointerSaveRecover(t *testing.T) {
 	}
 	if ck.Seq() != 5 {
 		t.Fatalf("Seq = %d, want 5", ck.Seq())
-	}
-	files, err := Checkpoints(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var haveFull, haveDelta bool
-	for _, f := range files {
-		haveFull = haveFull || strings.HasSuffix(f, "-full.json")
-		haveDelta = haveDelta || strings.HasSuffix(f, "-delta.json")
-	}
-	if !haveFull || !haveDelta {
-		t.Fatalf("checkpoint files %v: want both full and delta", files)
 	}
 
 	// Crash here: recover from disk and play the rest of the schedule.
@@ -175,9 +162,23 @@ func TestRecoverNoCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRecoverIgnoresOrphans: checkpoint files a torn Save abandoned
-// (unreferenced cp files, .tmp litter) must not confuse Recover, and
-// the next Save's retention sweep removes them.
+// dirEntries lists the names in dir.
+func dirEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestRecoverIgnoresOrphans: a torn MANIFEST.json.tmp — what a crash
+// mid-save leaves behind — must not confuse Recover, and the next Save
+// replaces it.
 func TestRecoverIgnoresOrphans(t *testing.T) {
 	dir := t.TempDir()
 	e := New()
@@ -192,41 +193,34 @@ func TestRecoverIgnoresOrphans(t *testing.T) {
 	if err := ck.Save(nil); err != nil {
 		t.Fatal(err)
 	}
-	// Orphans: a bogus unreferenced checkpoint (as if a crash hit
-	// between file write and manifest write) and tmp litter from a torn
-	// atomic write.
-	orphan := filepath.Join(dir, "cp-999999-full.json")
-	if err := os.WriteFile(orphan, []byte("{definitely not json"), 0o644); err != nil {
+	tmp := filepath.Join(dir, manifestName+".tmp")
+	if err := os.WriteFile(tmp, []byte(`{"version": 2, "seq": 99, "torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "cp-000009-full.json.tmp"), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Recover(dir, nil); err != nil {
-		t.Fatalf("recover with orphans present: %v", err)
+	if _, info, err := Recover(dir, nil); err != nil || info.Seq != 1 {
+		t.Fatalf("recover with a torn save present: info=%+v err=%v", info, err)
 	}
 	pushTick(t, e, 1001, 5, 50)
 	if err := ck.Save(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
-		t.Error("unreferenced orphan checkpoint survived the retention sweep")
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Error("torn temp file survived the next save")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "cp-000009-full.json.tmp")); !errors.Is(err, os.ErrNotExist) {
-		t.Error("tmp litter survived the retention sweep")
+	if _, info, err := Recover(dir, nil); err != nil || info.Seq != 2 {
+		t.Fatalf("recover after the next save: info=%+v err=%v", info, err)
 	}
 }
 
-// TestCheckpointerRetention: the directory stays bounded at the
-// current chain plus one previous chain regardless of how many saves
-// run.
+// TestCheckpointerRetention: however many saves run, the directory
+// holds only the one checkpoint file.
 func TestCheckpointerRetention(t *testing.T) {
 	dir := t.TempDir()
 	e := New()
 	if _, err := e.RegisterSource(strings.Replace(sensorQuery, "%s", "SNAPSHOT", 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := e.NewCheckpointer(dir, WithFullEvery(2))
+	ck, err := e.NewCheckpointer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,31 +229,24 @@ func TestCheckpointerRetention(t *testing.T) {
 		if err := ck.Save(nil); err != nil {
 			t.Fatal(err)
 		}
-		files, err := Checkpoints(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Max: current chain (1 full + 2 deltas) + previous chain (3).
-		if len(files) > 6 {
-			t.Fatalf("save %d: %d checkpoint files retained (%v)", i, len(files), files)
+		if files := dirEntries(t, dir); len(files) != 1 || files[0] != manifestName {
+			t.Fatalf("save %d: directory holds %v, want [%s]", i, files, manifestName)
 		}
 	}
-	// Recovery still works from the retained tail.
 	if _, info, err := Recover(dir, nil); err != nil || info.Seq != 12 {
-		t.Fatalf("recover after retention: info=%+v err=%v", info, err)
+		t.Fatalf("recover after 12 saves: info=%+v err=%v", info, err)
 	}
 }
 
-// TestCheckpointerResumesChainAcrossRestart: a new Checkpointer over an
-// existing directory continues the delta chain instead of forgetting
-// the watermarks and re-writing history.
-func TestCheckpointerResumesChainAcrossRestart(t *testing.T) {
+// TestCheckpointerResumesSeqAcrossRestart: a new Checkpointer over an
+// existing directory continues the sequence numbers.
+func TestCheckpointerResumesSeqAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	e := New()
 	if _, err := e.RegisterSource(strings.Replace(sensorQuery, "%s", "SNAPSHOT", 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := e.NewCheckpointer(dir, WithFullEvery(4))
+	ck, err := e.NewCheckpointer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +261,7 @@ func TestCheckpointerResumesChainAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck2, err := e2.NewCheckpointer(dir, WithFullEvery(4))
+	ck2, err := e2.NewCheckpointer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,16 +272,8 @@ func TestCheckpointerResumesChainAcrossRestart(t *testing.T) {
 	if err := ck2.Save(nil); err != nil {
 		t.Fatal(err)
 	}
-	files, err := Checkpoints(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Save 2 under fullEvery=4 must be a delta continuing save 1's full.
-	if len(files) != 2 || !strings.HasSuffix(files[1], "-delta.json") {
-		t.Fatalf("files after resumed save: %v, want full+delta", files)
-	}
-	if _, info2, err := Recover(dir, nil); err != nil || info2.Seq != 2 || info2.Deltas != 1 {
-		t.Fatalf("recover resumed chain: info=%+v err=%v", info2, err)
+	if _, info2, err := Recover(dir, nil); err != nil || info2.Seq != 2 {
+		t.Fatalf("recover after resumed save: info=%+v err=%v", info2, err)
 	}
 }
 
@@ -501,67 +480,5 @@ func TestRecoverSharedGroupEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDeltaCheckpointSmallerThanFull: the point of the incremental
-// chain — a delta written right after a full must not re-serialize the
-// window.
-func TestDeltaCheckpointSmallerThanFull(t *testing.T) {
-	dir := t.TempDir()
-	e := New()
-	if _, err := e.RegisterSource(strings.Replace(sensorQuery, "%s", "SNAPSHOT", 1), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Many elements in the window, all before the full checkpoint.
-	for i := 0; i < 50; i++ {
-		if err := e.Push(sensorGraph(int64(1000+i), "s1", int64(41+i%10)), tick(0).Add(time.Duration(i)*50*time.Millisecond)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.AdvanceTo(tick(5)); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := e.NewCheckpointer(dir, WithFullEvery(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Save(nil); err != nil {
-		t.Fatal(err)
-	}
-	// One new element, then a delta.
-	pushTick(t, e, 2000, 6, 44)
-	if err := ck.Save(nil); err != nil {
-		t.Fatal(err)
-	}
-	files, err := Checkpoints(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fullSize, deltaSize int64
-	for _, f := range files {
-		st, err := os.Stat(filepath.Join(dir, f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.HasSuffix(f, "-full.json") {
-			fullSize = st.Size()
-		} else {
-			deltaSize = st.Size()
-		}
-	}
-	if fullSize == 0 || deltaSize == 0 {
-		t.Fatalf("missing checkpoint files: %v", files)
-	}
-	if deltaSize*4 > fullSize {
-		t.Errorf("delta checkpoint (%d bytes) not meaningfully smaller than full (%d bytes)", deltaSize, fullSize)
-	}
-	// The chain still recovers the whole window.
-	e2, _, err := Recover(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := e2.queries["hot"].hist.Elements(), e.queries["hot"].hist.Elements(); len(got) != len(want) {
-		t.Errorf("recovered window holds %d elements, want %d", len(got), len(want))
 	}
 }

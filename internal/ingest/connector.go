@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"seraph/internal/graphstore"
@@ -17,15 +18,13 @@ import (
 type StreamSink func(g *pg.Graph, ts time.Time) error
 
 // Connector pumps events from a broker topic into a stream sink
-// (continuous engine) and, optionally, merges every event into a
-// persistent store under the unique name assumption — mirroring the
-// paper's dual pipeline where the Kafka connector also populates a
-// Neo4j database (Figure 2).
+// (continuous engine) — the Kafka connector of the paper's pipeline
+// (Figure 2). A persistent merged graph, the figure's Neo4j side, is
+// built by calling MergeInto on the decoded events.
 type Connector struct {
 	broker   *queue.Broker
 	consumer *queue.Consumer
 	sink     StreamSink
-	store    *graphstore.Store // optional merged store
 
 	eventsDelivered int
 
@@ -45,9 +44,11 @@ type Connector struct {
 	pending     []queue.Record
 	applied     map[int]int64
 
-	deadlettered int64
-	duplicates   int64
-	retries      int64
+	// Read from other goroutines (Server.IngestQueueStats) while the
+	// delivering goroutine updates them.
+	deadlettered atomic.Int64
+	duplicates   atomic.Int64
+	retries      atomic.Int64
 
 	mDeadletter *metrics.Counter
 	mDelivered  *metrics.Counter
@@ -76,17 +77,10 @@ func NewConnector(b *queue.Broker, topic string, sink StreamSink, opts ...Connec
 	return c, nil
 }
 
-// WithMergedStore also maintains a fully merged graph (no windowing),
-// as the Cypher-only baseline requires.
-func (c *Connector) WithMergedStore(s *graphstore.Store) *Connector {
-	c.store = s
-	return c
-}
-
-// Poll consumes up to max pending events, delivering each to the sink
-// and merging into the store if configured. It returns the number of
-// events delivered. Records retained by a previous deadline or
-// retry-budget abort are delivered before anything new is polled.
+// Poll consumes up to max pending events, delivering each to the sink.
+// It returns the number of events delivered. Records retained by a
+// previous deadline or retry-budget abort are delivered before anything
+// new is polled.
 func (c *Connector) Poll(max int) (int, error) {
 	recs := c.pending
 	c.pending = nil
@@ -105,12 +99,12 @@ func (c *Connector) Poll(max int) (int, error) {
 // Fault handling (all opt-in, see overload.go): the batch runs under a
 // wall-clock deadline; a record the engine rejects transiently
 // (admission control) is retried with exponential backoff; a poison
-// record — undecodable, merge conflict, or permanently rejected — is
-// quarantined to the dead-letter topic; and records redelivered after
-// a consumer rewind are skipped by offset deduplication. On a deadline
-// or retry-budget abort the undelivered remainder is retained in
-// c.pending and the count of records that were delivered is still
-// returned alongside the transient error.
+// record — undecodable or permanently rejected — is quarantined to the
+// dead-letter topic; and records redelivered after a consumer rewind
+// are skipped by offset deduplication. On a deadline or retry-budget
+// abort the undelivered remainder is retained in c.pending and the
+// count of records that were delivered is still returned alongside the
+// transient error.
 func (c *Connector) deliver(recs []queue.Record) (int, error) {
 	start := c.wallNow()
 	delivered := 0
@@ -121,7 +115,7 @@ func (c *Connector) deliver(recs []queue.Record) (int, error) {
 				delivered, len(recs), ErrBatchDeadline)
 		}
 		if next, ok := c.applied[rec.Partition]; ok && rec.Offset < next {
-			c.duplicates++
+			c.duplicates.Add(1)
 			c.mDuplicates.Inc()
 			continue
 		}
@@ -133,15 +127,6 @@ func (c *Connector) deliver(recs []queue.Record) (int, error) {
 			}
 			c.applied[rec.Partition] = rec.Offset + 1
 			continue
-		}
-		if c.store != nil {
-			if err := MergeInto(c.store, g); err != nil {
-				if !c.quarantine(rec, err) {
-					return delivered, err
-				}
-				c.applied[rec.Partition] = rec.Offset + 1
-				continue
-			}
 		}
 		if c.sink != nil {
 			if err := c.pushWithRetry(g, ts); err != nil {
@@ -178,7 +163,7 @@ func (c *Connector) pushWithRetry(g *pg.Graph, ts time.Time) error {
 		if err == nil || !queue.IsTransient(err) || attempt >= c.maxRetries {
 			return err
 		}
-		c.retries++
+		c.retries.Add(1)
 		c.mRetries.Inc()
 		c.doSleep(backoff)
 		if backoff < c.backoffMax {

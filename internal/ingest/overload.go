@@ -130,15 +130,15 @@ func WithIngestMetrics(reg *metrics.Registry) ConnectorOption {
 
 // Deadlettered returns the number of poison records quarantined so
 // far.
-func (c *Connector) Deadlettered() int64 { return c.deadlettered }
+func (c *Connector) Deadlettered() int64 { return c.deadlettered.Load() }
 
 // Duplicates returns the number of redelivered records skipped by
 // offset deduplication.
-func (c *Connector) Duplicates() int64 { return c.duplicates }
+func (c *Connector) Duplicates() int64 { return c.duplicates.Load() }
 
 // Retries returns the number of backoff retries performed against the
 // sink.
-func (c *Connector) Retries() int64 { return c.retries }
+func (c *Connector) Retries() int64 { return c.retries.Load() }
 
 // Pending returns the number of fetched-but-undelivered records
 // retained after a deadline or retry-budget abort.
@@ -161,7 +161,7 @@ func (c *Connector) quarantine(rec queue.Record, cause error) bool {
 	if _, err := c.broker.Produce(c.dlqTopic, cause.Error(), rec.Value, rec.Time); err != nil {
 		return false
 	}
-	c.deadlettered++
+	c.deadlettered.Add(1)
 	c.mDeadletter.Inc()
 	return true
 }

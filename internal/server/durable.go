@@ -10,8 +10,10 @@ package server
 // exactly-once across a crash; records below the checkpointed offsets
 // are compacted out of the log after every save.
 //
-// The topology index (topology.go) is not part of engine checkpoints:
-// it starts empty after a restart.
+// The topology index (topology.go) is not part of engine checkpoints. A
+// restarted server records the recovered window into it (finishInit),
+// and the connector records the log records past the checkpoint as it
+// replays them, before any new event is admitted.
 
 import (
 	"errors"
@@ -23,6 +25,7 @@ import (
 	"seraph/internal/engine"
 	"seraph/internal/ingest"
 	"seraph/internal/metrics"
+	"seraph/internal/pg"
 	"seraph/internal/queue"
 	"seraph/internal/wal"
 )
@@ -120,13 +123,24 @@ func OpenDurable(cfg DurableConfig, opts ...engine.Option) (*Server, error) {
 		// deduplicate any the log replays below that watermark.
 		connOpts = append(connOpts, ingest.WithAppliedOffsets(applied))
 	}
-	conn, err := ingest.NewConnector(b, ingestTopic, s.engine.Push, connOpts...)
+	iq := &ingestQueue{
+		broker:  b,
+		done:    make(chan struct{}),
+		ckEvery: cfg.CheckpointEvery,
+	}
+	conn, err := ingest.NewConnector(b, ingestTopic, func(g *pg.Graph, ts time.Time) error {
+		err := s.engine.Push(g, ts)
+		if err == nil && iq.replaying {
+			s.topo.record(g, ts)
+		}
+		return err
+	}, connOpts...)
 	if err != nil {
 		b.CloseDurable()
 		return nil, err
 	}
-	ck, err := s.engine.NewCheckpointer(cpDir)
-	if err != nil {
+	iq.conn = conn
+	if iq.ck, err = s.engine.NewCheckpointer(cpDir); err != nil {
 		b.CloseDurable()
 		return nil, err
 	}
@@ -134,19 +148,20 @@ func OpenDurable(cfg DurableConfig, opts ...engine.Option) (*Server, error) {
 		s.log.Info("recovered from data directory",
 			"dir", cfg.Dir,
 			"checkpoint_seq", info.Seq,
-			"delta_chain", info.Deltas,
 			"queries", len(s.engine.Queries()),
 			"recovery", info.Duration,
 		)
 	}
-	iq := &ingestQueue{
-		broker:  b,
-		conn:    conn,
-		done:    make(chan struct{}),
-		ck:      ck,
-		ckEvery: cfg.CheckpointEvery,
-	}
 	s.iq = iq
+	// The log past the checkpoint holds events admitted before the
+	// restart, which the topology index must know before a new one is
+	// admitted. The connector replays them first and records each into
+	// the index; admit waits on the index lock, held until the replay is
+	// done (drainIngestQueue).
+	if lag, err := conn.Consumer().Lag(); err == nil && lag > 0 {
+		iq.replaying = true
+		s.topo.mu.Lock()
+	}
 	go s.drainIngestQueue(iq)
 	return s, nil
 }

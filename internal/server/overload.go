@@ -58,6 +58,11 @@ type ingestQueue struct {
 	ck      *engine.Checkpointer
 	ckEvery int
 	sinceCk int
+
+	// replaying is set while the connector replays the log past the
+	// checkpoint at boot; the drain goroutine then holds s.topo.mu
+	// (durable.go). Drain-goroutine only once it runs.
+	replaying bool
 }
 
 // EnableIngestQueue switches POST /events to asynchronous ingestion:
@@ -112,8 +117,14 @@ func (e queueModeError) Error() string { return string(e) }
 // bounded topic is what pushes back on producers meanwhile.
 func (s *Server) drainIngestQueue(iq *ingestQueue) {
 	defer close(iq.done)
+	defer s.endReplay(iq)
 	for {
 		n, err := iq.conn.PollBlocking(512)
+		if iq.replaying && iq.conn.Pending() == 0 {
+			if lag, lerr := iq.conn.Consumer().Lag(); lerr != nil || lag == 0 {
+				s.endReplay(iq)
+			}
+		}
 		if err != nil {
 			if !queue.IsTransient(err) {
 				s.log.Error("ingest queue delivery failed", "err", err)
@@ -135,6 +146,14 @@ func (s *Server) drainIngestQueue(iq *ingestQueue) {
 		if n == 0 && err == nil {
 			return // broker closed and fully drained
 		}
+	}
+}
+
+// endReplay releases the topology index once the boot replay is done.
+func (s *Server) endReplay(iq *ingestQueue) {
+	if iq.replaying {
+		iq.replaying = false
+		s.topo.mu.Unlock()
 	}
 }
 

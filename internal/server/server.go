@@ -113,7 +113,8 @@ func Restore(r io.Reader, opts ...engine.Option) (*Server, error) {
 }
 
 // finishInit wires the server-level instruments to the engine's
-// registry (which may be nil when metrics are disabled).
+// registry (which may be nil when metrics are disabled) and seeds the
+// topology index from the engine's window.
 func (s *Server) finishInit() {
 	s.log = slog.Default()
 	s.retryAfter = time.Second
@@ -124,6 +125,13 @@ func (s *Server) finishInit() {
 		s.bindRing(name, ring)
 	}
 	s.topo.setWidth(s.engine)
+	// A restored engine's window holds events admitted before the
+	// restart; a reuse that pairs with one of them must still get 409.
+	s.topo.mu.Lock()
+	for _, el := range s.engine.Window("") {
+		s.topo.record(el.Graph, el.Time)
+	}
+	s.topo.mu.Unlock()
 }
 
 // bindRing attaches a result ring to the server's registry and logger,
@@ -436,8 +444,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // conflict, out-of-order push), 429 (queue or engine full) or 500. The
 // index lock spans the hand-off so only one of two concurrent conflicting
 // events gets in. Producers are serialised downstream anyway, and the
-// drain goroutine never takes the lock, so a Produce blocked on a full
-// topic only delays producers that would block too.
+// drain goroutine never takes the lock (it holds it only during a
+// durable server's boot replay, before any producer can), so a Produce
+// blocked on a full topic only delays producers that would block too.
 func (s *Server) admit(iq *ingestQueue, line []byte, g *pg.Graph, ts time.Time) (int, error) {
 	s.topo.mu.Lock()
 	defer s.topo.mu.Unlock()

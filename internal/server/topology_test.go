@@ -1,8 +1,11 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -93,6 +96,83 @@ func TestEventTopologyConflict(t *testing.T) {
 			resp.Body.Close()
 			if n := srv.topo.size(); n != 0 {
 				t.Fatalf("with no query registered the index holds %d relationships", n)
+			}
+		})
+	}
+}
+
+// TestEventTopologyConflictAfterRestart: a durable server rebuilds the
+// topology index on boot, so a relationship id reused with other
+// endpoints still gets 409 after a restart — whether the first use is
+// in the recovered window (graceful Close, final checkpoint) or only in
+// the log past the checkpoint (abandoned server).
+func TestEventTopologyConflictAfterRestart(t *testing.T) {
+	const reg = `REGISTER QUERY q STARTING AT 2026-07-06T10:00:00
+{ MATCH (a:N)-[r:F]->(b:N) WITHIN PT1M EMIT count(r) AS c SNAPSHOT EVERY PT10S }`
+	base := time.Date(2026, 7, 6, 10, 0, 0, 0, time.UTC)
+	for _, mode := range []string{"close", "abandon"} {
+		t.Run(mode, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := DurableConfig{Dir: dir, CheckpointEvery: 2}
+			srv, err := OpenDurable(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			ts := httptest.NewServer(srv.Handler())
+			if resp, m := post(t, ts.URL+"/queries", reg); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("register: %d %v", resp.StatusCode, m)
+			}
+			postRel := func(url string, relID, start, end int64, at time.Duration, want int) {
+				t.Helper()
+				resp, m := post(t, url+"/events", relEventNDJSON(t, relID, start, end, "F", base.Add(at)))
+				if resp.StatusCode != want {
+					t.Fatalf("rel %d %d->%d at +%s: %d %v, want %d", relID, start, end, at, resp.StatusCode, m, want)
+				}
+			}
+			postRel(ts.URL, 7, 1, 2, time.Second, http.StatusOK)
+			postRel(ts.URL, 6, 1, 2, 2*time.Second, http.StatusOK)
+			waitElements(t, srv, 2)
+			// The second delivered event triggers a checkpoint; the third
+			// event stays past its offsets.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if _, err := os.Stat(filepath.Join(dir, "checkpoints", "MANIFEST.json")); err == nil {
+					break
+				} else if !errors.Is(err, os.ErrNotExist) || time.Now().After(deadline) {
+					t.Fatalf("no checkpoint after two events: %v", err)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			postRel(ts.URL, 8, 3, 4, 3*time.Second, http.StatusOK)
+			waitElements(t, srv, 3)
+			ts.Close()
+			if mode == "close" {
+				if err := srv.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			srv2, err := OpenDurable(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv2.Close() })
+			ts2 := httptest.NewServer(srv2.Handler())
+			t.Cleanup(ts2.Close)
+			postRel(ts2.URL, 7, 2, 1, 30*time.Second, http.StatusConflict)
+			postRel(ts2.URL, 8, 4, 3, 30*time.Second, http.StatusConflict)
+			postRel(ts2.URL, 9, 1, 2, 40*time.Second, http.StatusOK)
+			// Instants 10:00:00 … 10:00:40.
+			q := srv2.Engine().Queries()[0]
+			for deadline := time.Now().Add(5 * time.Second); q.Err() == nil && q.Stats().Evaluations < 5; {
+				if time.Now().After(deadline) {
+					t.Fatalf("drain stalled at %d evaluations", q.Stats().Evaluations)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if err := q.Err(); err != nil {
+				t.Fatalf("query failed after restart: %v", err)
 			}
 		})
 	}

@@ -49,25 +49,27 @@ func TestLimitOverflow(t *testing.T) {
 	pre := Len()
 	prev := SetLimit(pre + 2)
 	defer SetLimit(prev)
+	// Symbols are never removed, so each run (-count=N) needs fresh ones.
+	symA, symB, symC := fmt.Sprintf("symtab-test-limit-%d-A", pre), fmt.Sprintf("symtab-test-limit-%d-B", pre), fmt.Sprintf("symtab-test-limit-%d-C", pre)
 
-	a := Intern("symtab-test-limit-A")
-	b := Intern("symtab-test-limit-B")
+	a := Intern(symA)
+	b := Intern(symB)
 	if a == None || b == None || a == b {
 		t.Fatalf("Intern below the cap: %d %d", a, b)
 	}
 
 	// The table is now full. New symbols are refused explicitly...
-	if id, ok := TryIntern("symtab-test-limit-C"); ok || id != None {
+	if id, ok := TryIntern(symC); ok || id != None {
 		t.Fatalf("TryIntern over the cap = (%d, %v), want (None, false)", id, ok)
 	}
 	if got := Len(); got != pre+2 {
 		t.Fatalf("Len after refused intern = %d, want %d", got, pre+2)
 	}
 	// ...Canon degrades to the un-canonicalized string...
-	if got := Canon("symtab-test-limit-C"); got != "symtab-test-limit-C" {
+	if got := Canon(symC); got != symC {
 		t.Fatalf("Canon over the cap = %q", got)
 	}
-	if got := Lookup("symtab-test-limit-C"); got != None {
+	if got := Lookup(symC); got != None {
 		t.Fatalf("refused symbol leaked into the table: id %d", got)
 	}
 	// ...and Intern, whose callers cannot tolerate ID aliasing, panics.
@@ -77,23 +79,23 @@ func TestLimitOverflow(t *testing.T) {
 				t.Fatal("Intern over the cap did not panic")
 			}
 		}()
-		Intern("symtab-test-limit-C")
+		Intern(symC)
 	}()
 
 	// Existing symbols are unaffected by a full table.
-	if got := Intern("symtab-test-limit-A"); got != a {
+	if got := Intern(symA); got != a {
 		t.Fatalf("re-Intern at the cap = %d, want %d", got, a)
 	}
-	if got, ok := TryIntern("symtab-test-limit-B"); !ok || got != b {
+	if got, ok := TryIntern(symB); !ok || got != b {
 		t.Fatalf("TryIntern of existing at the cap = (%d, %v), want (%d, true)", got, ok, b)
 	}
-	if got := Name(b); got != "symtab-test-limit-B" {
+	if got := Name(b); got != symB {
 		t.Fatalf("Name at the cap = %q", got)
 	}
 
 	// Raising the cap admits the refused symbol with a fresh ID.
 	SetLimit(pre + 3)
-	if id := Intern("symtab-test-limit-C"); id == None || id == a || id == b {
+	if id := Intern(symC); id == None || id == a || id == b {
 		t.Fatalf("Intern after raising the cap = %d", id)
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"seraph/internal/engine"
@@ -40,9 +41,13 @@ func runScenario(t *testing.T, srcs []string, elems []stream.Element, opts ...en
 	e := engine.New(opts...)
 	results := map[string][]engine.Result{}
 	queries := map[string]*engine.Query{}
+	// Distinct queries' sinks run in parallel; the shared map needs a lock.
+	var mu sync.Mutex
 	for _, src := range srcs {
 		src := src
 		q, err := e.RegisterSource(src, func(r engine.Result) {
+			mu.Lock()
+			defer mu.Unlock()
 			results[r.Query] = append(results[r.Query], r)
 		})
 		if err != nil {
